@@ -21,6 +21,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/ethersim"
 	"repro/internal/filter"
+	"repro/internal/live"
+	"repro/internal/pfdev"
 	"repro/internal/pup"
 	"repro/internal/vmtp"
 )
@@ -131,6 +133,40 @@ func BenchmarkFilterSet20Table(b *testing.B) {
 		if tbl.MatchBest(pkt) != 19 {
 			b.Fatal("wrong match")
 		}
+	}
+}
+
+// BenchmarkLiveTableInput is the live device's table-mode receive path
+// — tree walk, scan over the ports the table names, enqueue — against
+// the port count: a hit is queued on one port (drained every 32
+// frames), a miss is a kernel drop.  The scan index keeps both flat in
+// the number of open ports.
+func BenchmarkLiveTableInput(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		d := live.NewDevice(live.Options{Link: ethersim.Ether3Mb, Mode: pfdev.EvalTable})
+		var target *live.Port
+		for i := 0; i < n; i++ {
+			target = d.Open()
+			if err := target.SetFilter(filter.DstSocketFilter(10, uint32(0x100+i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			name  string
+			frame []byte
+		}{{"hit", benchPacket(uint32(0x100 + n - 1))}, {"miss", benchPacket(0x99)}} {
+			b.Run("ports="+strconv.Itoa(n)+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					d.Input(c.frame)
+					if i%32 == 31 {
+						target.ReadBatch(0, -1)
+					}
+				}
+				target.ReadBatch(0, -1)
+			})
+		}
+		d.Close()
 	}
 }
 

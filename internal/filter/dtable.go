@@ -636,16 +636,23 @@ type MatchResult struct {
 	Linear []LinearEval
 }
 
-// TreeMatch reports the tree-resident slots accepting pkt (unsorted)
-// and the walk's path depth.  The returned slice is reused by the next
-// TreeMatch or MatchStats call.  Fallback slots are not consulted —
-// the caller drives those itself via Fallback, which is how the
-// devices evaluate fallbacks lazily in scan order.
-func (t *Table) TreeMatch(pkt []byte) ([]int, int) {
+// Candidates reports every slot whose filter may accept pkt: first the
+// tree-resident slots that do accept it (unsorted; tree counts them),
+// then every fallback slot in ascending slot order, plus the walk's
+// path depth.  The returned slice is reused by the next Candidates or
+// MatchStats call.  Fallback programs are not run — the caller drives
+// those itself via Fallback, which is how the devices evaluate
+// fallbacks lazily in scan order.  No other slot can accept, so a
+// device scan need visit only these slots' ports.
+func (t *Table) Candidates(pkt []byte) (slots []int, tree, edges int) {
 	t.scratch = t.scratch[:0]
 	t.edges = 0
 	t.walk(t.root, pkt)
-	return t.scratch, t.edges
+	tree = len(t.scratch)
+	for _, l := range t.linear {
+		t.scratch = append(t.scratch, l.idx)
+	}
+	return t.scratch, tree, t.edges
 }
 
 // Match returns the indices of all filters accepting pkt, sorted by

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/filter"
@@ -333,9 +334,12 @@ func (c *Client) Close() { c.conn.Close() }
 
 // connErr turns a transport failure into a one-line diagnosis: a bare
 // io.EOF mid-protocol means the server went away, which deserves
-// better than the two letters the decoder reports.
+// better than the two letters the decoder reports.  A hang-up that
+// races our request surfaces as a reset or broken pipe instead of EOF;
+// it is the same event.
 func connErr(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
 		return fmt.Errorf("control connection closed by pfserve (server gone?)")
 	}
 	return fmt.Errorf("control connection: %w", err)

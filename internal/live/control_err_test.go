@@ -1,8 +1,11 @@
 package live
 
 import (
+	"io"
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -66,6 +69,18 @@ func TestClientServerGoneMidSession(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "closed by pfserve") {
 		t.Errorf("mid-session hangup surfaced as %q, want a closed-by-pfserve diagnosis", err)
+	}
+}
+
+// A hang-up that races the client's request reaches it as a reset or a
+// broken pipe rather than EOF (TestClientServerGoneMidSession saw the
+// reset about one run in fifteen); all three get the same diagnosis.
+func TestConnErrResetIsServerGone(t *testing.T) {
+	for _, cause := range []error{io.EOF, syscall.ECONNRESET, syscall.EPIPE} {
+		err := connErr(&net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("read", cause)})
+		if !strings.Contains(err.Error(), "closed by pfserve") {
+			t.Errorf("%v surfaced as %q, want a closed-by-pfserve diagnosis", cause, err)
+		}
 	}
 }
 

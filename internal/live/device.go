@@ -21,6 +21,7 @@ package live
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -93,7 +94,8 @@ type Device struct {
 	name string
 	opt  Options
 
-	ports   []*Port // sorted: priority desc, busy-first within priority
+	ports   []*Port       // sorted: priority desc, busy-first within priority
+	byID    map[int]*Port // open ports by id
 	nextID  int
 	pktSeen uint64
 
@@ -103,6 +105,17 @@ type Device struct {
 	// once and finishes on that consistent table even if a governor
 	// transition patches mid-scan.
 	table *filter.Table
+
+	// Scan index, mirroring pfdev's: slotPort maps the published
+	// table's slots to their ports (valid whenever table is non-nil),
+	// Port.rank is the port's position in ports, renumbered lazily
+	// behind rankDirty, and matchSeq stamps the ports the current
+	// match's tree walk accepted.  scanVisits counts ports the table
+	// scan reached (tests only).
+	slotPort   []*Port
+	rankDirty  bool
+	matchSeq   uint64
+	scanVisits uint64
 
 	// Table-maintenance accounting, mirroring pfdev's (deterministic
 	// filter.Table.Work units).
@@ -120,6 +133,7 @@ type Device struct {
 
 	treeScratch []*Port
 	portScratch []*Port
+	scanScratch []*Port
 
 	// Multi-queue receive state (mq.go).  rxqs is built once in
 	// NewDevice and never mutated, so Input may read it without the
@@ -144,7 +158,7 @@ func NewDevice(opt Options) *Device {
 		opt.Name = "live"
 	}
 	opt.Gov = opt.Gov.WithDefaults()
-	d := &Device{clk: opt.Clock, tr: opt.Tracer, name: opt.Name, opt: opt}
+	d := &Device{clk: opt.Clock, tr: opt.Tracer, name: opt.Name, opt: opt, byID: make(map[int]*Port)}
 	d.startQueues()
 	return d
 }
@@ -197,9 +211,11 @@ type Port struct {
 	// fp and slot mirror pfdev's table-mode port state: the flat
 	// compilation answers quarantine-exit transition packets, and slot
 	// is the port's stable slot in the published table (-1 when not
-	// resident).
-	fp   *filter.FlatProg
-	slot int
+	// resident).  rank and treeHit belong to the device's scan index.
+	fp      *filter.FlatProg
+	slot    int
+	rank    int
+	treeHit uint64
 
 	queue      []Packet
 	qhead      int
@@ -260,6 +276,7 @@ func (d *Device) Open() *Port {
 	}
 	d.nextID++
 	d.ports = append(d.ports, port)
+	d.byID[port.id] = port
 	d.sortPorts()
 	return port
 }
@@ -268,12 +285,7 @@ func (d *Device) Open() *Port {
 func (d *Device) Port(id int) *Port {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, port := range d.ports {
-		if port.id == id {
-			return port
-		}
-	}
-	return nil
+	return d.byID[id]
 }
 
 // ID returns the port's device-unique id.
@@ -496,13 +508,15 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) []*Port {
 
 // tableMatch mirrors pfdev's v2 merged-decision-table path line for
 // line: the table (snapshotted once per match) answers which filters
-// accept, while the device drives the scan over d.ports in linear
-// order, deciding governor admission as each port is reached, patching
-// quarantine transitions into the published table, evaluating reached
-// fallbacks lazily, and stopping at the first non-copy-all accept.
-// Per-port accounting (instrs, fuel, FilterEval traces, edge shares)
-// is identical to pfdev's, which is what keeps the mode-equivalence
-// test pinning virtual vs live field by field.
+// can accept, while the device drives the scan in d.ports order —
+// over just the candidate ports (scanSet) with the governor off, over
+// all of d.ports with it on, deciding admission as each port is
+// reached and patching quarantine transitions into the published
+// table — evaluating reached fallbacks lazily and stopping at the
+// first non-copy-all accept.  Per-port accounting (instrs, fuel,
+// FilterEval traces, edge shares) is identical to pfdev's, which is
+// what keeps the mode-equivalence test pinning virtual vs live field
+// by field.
 func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 	now := d.clk.Now()
 	gov := d.opt.Gov.Enabled
@@ -511,19 +525,19 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 		d.rebuildTable()
 	}
 	tbl := d.table // this match's immutable snapshot
-	treeIdxs, edges := tbl.TreeMatch(frame)
-
-	slotAccepted := func(slot int) bool {
-		for _, i := range treeIdxs {
-			if i == slot {
-				return true
-			}
-		}
-		return false
+	slots, tree, edges := tbl.Candidates(frame)
+	d.matchSeq++
+	for _, slot := range slots[:tree] {
+		d.slotPort[slot].treeHit = d.matchSeq
+	}
+	visit := d.ports
+	if !gov {
+		visit = d.scanSet(slots)
 	}
 
 	accepted, treeAccepts := dst, d.treeScratch[:0]
-	for _, port := range d.ports {
+	for _, port := range visit {
+		d.scanVisits++
 		if port.closed || port.prog == nil {
 			continue
 		}
@@ -552,7 +566,7 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 				r := fp.Run(frame)
 				accept, instrs, ran = r.Accept, r.Instrs, true
 			} else {
-				accept = slotAccepted(slot)
+				accept = port.treeHit == d.matchSeq
 			}
 		case port.fp != nil:
 			r := port.fp.Run(frame)
@@ -605,6 +619,26 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 	return accepted
 }
 
+// scanSet maps a match's candidate slots to their ports in scan order
+// (rank = position in d.ports).  With the governor off these are the
+// only ports whose visit has any effect, so the scan costs O(accepts +
+// fallbacks) instead of O(ports).
+func (d *Device) scanSet(slots []int) []*Port {
+	set := d.scanScratch[:0]
+	for _, slot := range slots {
+		set = append(set, d.slotPort[slot])
+	}
+	if d.rankDirty {
+		for i, port := range d.ports {
+			port.rank = i
+		}
+		d.rankDirty = false
+	}
+	slices.SortFunc(set, func(a, b *Port) int { return a.rank - b.rank })
+	d.scanScratch = set[:0]
+	return set
+}
+
 // rebuildTable compiles the full filter set from scratch — the cold
 // path, as in pfdev.
 func (d *Device) rebuildTable() {
@@ -625,6 +659,7 @@ func (d *Device) rebuildTable() {
 	for i, port := range included {
 		port.slot = i
 	}
+	d.slotPort = included
 	d.tableBuilds++
 	d.tableWork += uint64(d.table.Work())
 }
@@ -647,6 +682,11 @@ func (d *Device) tableInsertPort(port *Port) {
 	nt, slot := d.table.Insert(filter.Filter{Priority: port.priority, Program: port.prog})
 	d.table = nt
 	port.slot = slot
+	if slot == len(d.slotPort) {
+		d.slotPort = append(d.slotPort, port)
+	} else {
+		d.slotPort[slot] = port
+	}
 	d.tablePatches++
 	d.tableWork += uint64(nt.Work() - before)
 }
@@ -667,6 +707,7 @@ func (d *Device) tableRemovePort(port *Port) {
 	}
 	before := d.table.Work()
 	d.table = d.table.Remove(port.slot)
+	d.slotPort[port.slot] = nil
 	port.slot = -1
 	d.tablePatches++
 	d.tableWork += uint64(d.table.Work() - before)
@@ -691,6 +732,7 @@ func (d *Device) TableMaint() (builds, patches uint64) {
 // sortPorts re-sorts priority descending, stable within priorities.
 // The v2 table is scan-order-free, so sorting leaves it untouched.
 func (d *Device) sortPorts() {
+	d.rankDirty = true
 	for i := 1; i < len(d.ports); i++ {
 		for j := i; j > 0 && d.ports[j-1].priority < d.ports[j].priority; j-- {
 			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
@@ -706,6 +748,7 @@ func (d *Device) reorder() {
 			d.ports[j-1].priority == d.ports[j].priority &&
 			d.ports[j-1].matches < d.ports[j].matches; j-- {
 			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
+			d.rankDirty = true
 		}
 	}
 }
@@ -948,9 +991,11 @@ func (port *Port) closeLocked() {
 	for i, q := range d.ports {
 		if q == port {
 			d.ports = append(d.ports[:i], d.ports[i+1:]...)
+			d.rankDirty = true
 			break
 		}
 	}
+	delete(d.byID, port.id)
 	d.tableRemovePort(port)
 }
 
@@ -958,16 +1003,14 @@ func (port *Port) closeLocked() {
 // order.
 func (d *Device) PortStats() []pfdev.PortStats {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	stats := make([]pfdev.PortStats, 0, len(d.ports))
 	for _, port := range d.ports {
 		stats = append(stats, port.statsLocked())
 	}
-	for i := 1; i < len(stats); i++ {
-		for j := i; j > 0 && stats[j-1].ID > stats[j].ID; j-- {
-			stats[j-1], stats[j] = stats[j], stats[j-1]
-		}
-	}
+	d.mu.Unlock()
+	// d.ports is in scan order; sort the snapshot with the packet path
+	// unlocked.
+	slices.SortFunc(stats, func(a, b pfdev.PortStats) int { return a.ID - b.ID })
 	return stats
 }
 

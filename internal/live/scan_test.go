@@ -1,0 +1,180 @@
+package live
+
+import (
+	"testing"
+
+	"repro/internal/ethersim"
+	"repro/internal/filter"
+	"repro/internal/pfdev"
+	"repro/internal/pup"
+)
+
+const scanBase = 0x1000 // first socket of openSocketPorts' population
+
+// openSocketPorts opens n ports, port i bound to the tree-resident Pup
+// socket filter for scanBase+i at priority 10.
+func openSocketPorts(t testing.TB, d *Device, n int) []*Port {
+	t.Helper()
+	ports := make([]*Port, n)
+	for i := range ports {
+		ports[i] = d.Open()
+		if err := ports[i].SetFilter(pup.SocketFilter(d.Link(), 10, uint32(scanBase+i))); err != nil {
+			t.Fatalf("setfilter %d: %v", i, err)
+		}
+	}
+	return ports
+}
+
+// orFilter is a filter the decision tree cannot hold (an OR), so the
+// table evaluates it as a linear fallback; it accepts no Pup frame.
+func orFilter(prio uint8) filter.Filter {
+	return filter.Filter{Priority: prio, Program: filter.NewBuilder().
+		WordEQ(1, 0xAAAA).WordEQ(1, 0xBBBB).Or().MustProgram()}
+}
+
+// The table-mode scan is O(accepts): with the governor off it reaches
+// only the ports the decision table names — tree accepts and the
+// fallbacks ahead of the stopping accept — however many ports are open.
+func TestTableScanVisitsOnlyCandidates(t *testing.T) {
+	link := ethersim.Ether10Mb
+	d := NewDevice(Options{Link: link, Mode: pfdev.EvalTable})
+	const n, k, f = 1024, 3, 5
+	ports := openSocketPorts(t, d, n)
+	hit, miss := pupFrame(t, link, scanBase+n/2), pupFrame(t, link, scanBase-1)
+	check := func(what string, frame []byte, want uint64) {
+		t.Helper()
+		before := d.ScanVisits()
+		d.Input(frame)
+		if got := d.ScanVisits() - before; got != want {
+			t.Errorf("%s: scan visited %d ports, want %d", what, got, want)
+		}
+	}
+	check("tree-only miss", miss, 0)
+	check("tree-only hit", hit, 1)
+
+	for i := 0; i < k; i++ { // copy-all monitors above everything
+		mon := d.Open()
+		mon.SetCopyAll(true)
+		if err := mon.SetFilter(filter.Filter{Priority: uint8(20 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("monitors, miss", miss, k)
+	check("monitors + terminal port", hit, k+1)
+
+	for i := 0; i < f; i++ { // fallbacks between the monitors and the accept
+		if err := d.Open().SetFilter(orFilter(15)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("fallbacks ahead of the accept", hit, k+f+1)
+
+	for i := 0; i < f; i++ { // fallbacks behind the accept are never reached
+		if err := d.Open().SetFilter(orFilter(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("fallbacks behind the accept", hit, k+f+1)
+	check("every fallback, miss", miss, k+2*f)
+
+	if got := ports[n/2].Stats().Matched; got != 4 {
+		t.Errorf("terminal port matched %d frames, want 4", got)
+	}
+}
+
+// With the governor on, admission is decided at each reached port, so
+// the scan still walks d.ports: a miss reaches every open port.
+func TestTableScanGovernorWalksAllPorts(t *testing.T) {
+	link := ethersim.Ether10Mb
+	d := NewDevice(Options{Link: link, Mode: pfdev.EvalTable, Gov: pfdev.GovConfig{Enabled: true}})
+	const n = 64
+	openSocketPorts(t, d, n)
+	d.Input(pupFrame(t, link, scanBase-1))
+	if got := d.ScanVisits(); got != n {
+		t.Fatalf("governed miss visited %d ports, want all %d", got, n)
+	}
+}
+
+// TestTableInputAllocationFree pins the table-mode Input path — tree
+// walk, scan set, rank sort, enqueue — at zero heap allocations per
+// frame once the scratch slices and the port queue are warm.
+func TestTableInputAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	link := ethersim.Ether10Mb
+	d := NewDevice(Options{Link: link, Mode: pfdev.EvalTable})
+	const n = 1024
+	port := openSocketPorts(t, d, n)[n/2]
+	if err := d.Open().SetFilter(orFilter(15)); err != nil {
+		t.Fatal(err)
+	}
+	hit, miss := pupFrame(t, link, scanBase+n/2), pupFrame(t, link, scanBase-1)
+	deliver := func(frame []byte, want int) {
+		d.Input(frame)
+		if port.qlen() != want {
+			t.Fatalf("queue depth %d after input, want %d", port.qlen(), want)
+		}
+		port.popFront(want)
+	}
+	for i := 0; i < 64; i++ {
+		deliver(hit, 1)
+	}
+	deliver(miss, 0)
+	if a := testing.AllocsPerRun(200, func() { deliver(hit, 1) }); a != 0 {
+		t.Errorf("matched table input allocates %.1f/frame, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() { deliver(miss, 0) }); a != 0 {
+		t.Errorf("unmatched table input allocates %.1f/frame, want 0", a)
+	}
+}
+
+// PortStats is in id order however busy-first reordering and priority
+// sorting have shuffled the scan order.
+func TestPortStatsIDOrderAfterReorder(t *testing.T) {
+	link := ethersim.Ether10Mb
+	d := NewDevice(Options{Link: link, Reorder: true, ReorderEvery: 1})
+	const n = 8
+	ports := openSocketPorts(t, d, n)
+	if err := ports[2].SetFilter(pup.SocketFilter(link, 30, scanBase+2)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		d.Input(pupFrame(t, link, scanBase+n-1)) // the last-opened port becomes the busiest
+	}
+	d.mu.Lock()
+	first, second := d.ports[0].id, d.ports[1].id
+	d.mu.Unlock()
+	if first != 2 || second != n-1 {
+		t.Fatalf("scan order starts %d, %d; want the priority-30 port 2 then the busy port %d", first, second, n-1)
+	}
+	stats := d.PortStats()
+	if len(stats) != n {
+		t.Fatalf("PortStats returned %d blocks, want %d", len(stats), n)
+	}
+	for i, st := range stats {
+		if st.ID != i {
+			t.Fatalf("PortStats[%d].ID = %d; blocks must be in id order", i, st.ID)
+		}
+	}
+}
+
+// Port finds open ports by id and answers nil for ids that were closed
+// or never opened.
+func TestPortLookup(t *testing.T) {
+	d := NewDevice(Options{})
+	a, b, c := d.Open(), d.Open(), d.Open()
+	b.Close()
+	for _, tc := range []struct {
+		id   int
+		want *Port
+	}{{a.ID(), a}, {b.ID(), nil}, {c.ID(), c}, {c.ID() + 1, nil}, {-1, nil}} {
+		if got := d.Port(tc.id); got != tc.want {
+			t.Errorf("Port(%d) = %v, want %v", tc.id, got, tc.want)
+		}
+	}
+	d.Close()
+	if d.Port(a.ID()) != nil || d.Port(c.ID()) != nil {
+		t.Error("ports still resolvable after the device closed")
+	}
+}

@@ -16,6 +16,7 @@ package pfdev
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ethersim"
@@ -156,6 +157,20 @@ type Device struct {
 	// built yet"; the next match builds one from scratch.
 	table *filter.Table
 
+	// Scan index: what lets a governor-off table match visit only the
+	// ports the table names instead of walking d.ports.  slotPort maps
+	// the published table's slots to their ports (valid whenever table
+	// is non-nil; patched with it).  Port.rank is the port's position
+	// in d.ports, renumbered lazily — one pass at the next match after
+	// sortPorts, reorder or a close sets rankDirty, never per packet.
+	// matchSeq stamps the ports the current match's tree walk accepted
+	// (Port.treeHit).  scanVisits counts ports the table scan reached
+	// (tests only).
+	slotPort   []*Port
+	rankDirty  bool
+	matchSeq   uint64
+	scanVisits uint64
+
 	// reorderPending defers a §3.2 busy-first reorder that came due in
 	// the middle of a coalesced burst to the burst boundary, so every
 	// frame within one burst observes a single scan order.
@@ -195,6 +210,7 @@ type Device struct {
 	// callbacks one at a time even when lanes overlap in virtual time.
 	rx          []*rxCtx
 	treeScratch []*Port
+	scanScratch []*Port
 	wakeScratch []*Port
 
 	// Governor state (gov.go): queuedTotal tracks packets queued
@@ -785,14 +801,20 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration)
 }
 
 // tableMatch uses the merged decision table.  v2 splits the work in
-// two: the table answers "which filters accept this frame" (one tree
-// walk plus lazily evaluated flat-code fallbacks), while the device
-// drives the scan over d.ports in the same order as linearMatch —
-// priority descending, busy-first within a priority — deciding
-// governor admission at the moment each port is reached and stopping
-// at the first non-copy-all accept, exactly like the linear rule.
-// Scan order therefore never lives inside the table, which is what
-// lets reorder() and sortPorts leave the table untouched.
+// two: the table answers "which filters can accept this frame" (one
+// tree walk plus lazily evaluated flat-code fallbacks), while the
+// device drives the scan in the same order as linearMatch — priority
+// descending, busy-first within a priority — stopping at the first
+// non-copy-all accept, exactly like the linear rule.  Scan order
+// therefore never lives inside the table, which is what lets reorder()
+// and sortPorts leave the table untouched.
+//
+// With the governor off only the table's candidates (tree accepts and
+// fallbacks) can be affected by the frame, so the scan ranges over just
+// those ports, rank-ordered (scanSet).  With it on, admission is
+// decided at the moment each port is reached — quarSkips, lazy refill,
+// quarantine entry and exit, table patches — so every port must be
+// reached and the scan ranges over d.ports.  One loop body serves both.
 //
 // Virtual cost: one FilterApply for starting the walk (amortized over
 // a coalesced burst like the linear path's per-port setup) plus one
@@ -831,20 +853,20 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 		d.tableStall += stall
 	}
 	tbl := d.table // this match's immutable snapshot
-	treeIdxs, edges := tbl.TreeMatch(frame)
+	slots, tree, edges := tbl.Candidates(frame)
 	total := edges
-
-	slotAccepted := func(slot int) bool {
-		for _, i := range treeIdxs {
-			if i == slot {
-				return true
-			}
-		}
-		return false
+	d.matchSeq++
+	for _, slot := range slots[:tree] {
+		d.slotPort[slot].treeHit = d.matchSeq
+	}
+	visit := d.ports
+	if !gov {
+		visit = d.scanSet(slots)
 	}
 
 	accepted, treeAccepts := dst, d.treeScratch[:0]
-	for _, port := range d.ports {
+	for _, port := range visit {
+		d.scanVisits++
 		if port.closed || port.prog == nil {
 			continue
 		}
@@ -880,7 +902,7 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 				r := fp.Run(frame)
 				accept, instrs, ran = r.Accept, r.Instrs, true
 			} else {
-				accept = slotAccepted(slot)
+				accept = port.treeHit == d.matchSeq
 			}
 		case port.fp != nil:
 			// Not in the snapshot (typically the quarantine-exit
@@ -952,6 +974,26 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 	return accepted, cost
 }
 
+// scanSet maps a match's candidate slots to their ports in scan order
+// (rank = position in d.ports).  With the governor off these are the
+// only ports whose visit has any effect, so the scan costs O(accepts +
+// fallbacks) instead of O(ports).
+func (d *Device) scanSet(slots []int) []*Port {
+	set := d.scanScratch[:0]
+	for _, slot := range slots {
+		set = append(set, d.slotPort[slot])
+	}
+	if d.rankDirty {
+		for i, port := range d.ports {
+			port.rank = i
+		}
+		d.rankDirty = false
+	}
+	slices.SortFunc(set, func(a, b *Port) int { return a.rank - b.rank })
+	d.scanScratch = set[:0]
+	return set
+}
+
 // rebuildTable compiles the full filter set from scratch — the first
 // bind under incremental maintenance (at setfilter time), or any churn
 // under Options.FullRebuild (on the match path, as a stall).
@@ -973,6 +1015,7 @@ func (d *Device) rebuildTable() {
 	for i, port := range included {
 		port.slot = i
 	}
+	d.slotPort = included
 	d.TableBuilds++
 	d.tableWork += uint64(d.table.Work())
 }
@@ -999,6 +1042,11 @@ func (d *Device) tableInsertPort(port *Port) {
 	nt, slot := d.table.Insert(filter.Filter{Priority: port.priority, Program: port.prog})
 	d.table = nt
 	port.slot = slot
+	if slot == len(d.slotPort) {
+		d.slotPort = append(d.slotPort, port)
+	} else {
+		d.slotPort[slot] = port
+	}
 	d.TablePatches++
 	d.tableWork += uint64(nt.Work() - before)
 }
@@ -1019,6 +1067,7 @@ func (d *Device) tableRemovePort(port *Port) {
 	}
 	before := d.table.Work()
 	d.table = d.table.Remove(port.slot)
+	d.slotPort[port.slot] = nil
 	port.slot = -1
 	d.TablePatches++
 	d.tableWork += uint64(d.table.Work() - before)
@@ -1055,6 +1104,7 @@ func (d *Device) maybeReorder() {
 // adjusts by busyness).  The decision table is order-free in v2 — the
 // device scans d.ports itself — so sorting does not touch it.
 func (d *Device) sortPorts() {
+	d.rankDirty = true
 	// Insertion sort keeps it stable and the lists are short.
 	for i := 1; i < len(d.ports); i++ {
 		for j := i; j > 0 && d.ports[j-1].priority < d.ports[j].priority; j-- {
@@ -1073,6 +1123,7 @@ func (d *Device) reorder() {
 			d.ports[j-1].priority == d.ports[j].priority &&
 			d.ports[j-1].matches < d.ports[j].matches; j-- {
 			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
+			d.rankDirty = true
 		}
 	}
 }

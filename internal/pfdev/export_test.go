@@ -1,0 +1,5 @@
+package pfdev
+
+// ScanVisits returns how many ports table-mode matches have reached so
+// far — the device-local counter behind the O(accepts) scan tests.
+func (d *Device) ScanVisits() uint64 { return d.scanVisits }

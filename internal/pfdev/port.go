@@ -62,8 +62,11 @@ type Port struct {
 	fp *filter.FlatProg
 	// slot is the port's stable slot in the published decision table,
 	// -1 while not resident (no filter bound, quarantined out, or the
-	// table not yet built).
-	slot int
+	// table not yet built).  rank and treeHit belong to the device's
+	// scan index.
+	slot    int
+	rank    int
+	treeHit uint64
 
 	// queue is head-indexed: qhead marks the first undelivered packet
 	// and dequeues advance it instead of re-slicing, so the backing
@@ -758,6 +761,7 @@ func (port *Port) Close(p *sim.Proc) {
 	for i, q := range port.dev.ports {
 		if q == port {
 			port.dev.ports = append(port.dev.ports[:i], port.dev.ports[i+1:]...)
+			port.dev.rankDirty = true
 			break
 		}
 	}
