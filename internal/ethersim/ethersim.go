@@ -178,8 +178,18 @@ type Network struct {
 	link LinkType
 	nics []*NIC
 
-	wireBusy bool
-	txq      []*txJob
+	// wireBusy admits one frame to the medium at a time, so the job
+	// on the wire, the injector's verdict on it and the span of the
+	// duplicate it ordered live here, and a single pre-bound callback
+	// (wireDoneFn) completes every transmission.  txq pops from
+	// txHead instead of reslicing, which reuses its backing array.
+	wireBusy   bool
+	txq        []*txJob
+	txHead     int
+	onWire     *txJob
+	verdict    Verdict
+	dupSpan    uint64
+	wireDoneFn func()
 
 	// FramesOnWire counts every frame that made it onto the medium.
 	FramesOnWire uint64
@@ -243,7 +253,9 @@ type txJob struct {
 
 // New creates a network segment of the given link type.
 func New(s *sim.Sim, link LinkType) *Network {
-	return &Network{s: s, link: link}
+	n := &Network{s: s, link: link}
+	n.wireDoneFn = n.wireDone
+	return n
 }
 
 // Link returns the network's link type.
@@ -338,12 +350,17 @@ type rxq struct {
 	flushTimer clock.Timer
 
 	// Provenance plumbing.  burstSpans mirrors burst; rxPend is the
-	// FIFO of spans handed to kernel receive closures and not yet
+	// FIFO of spans handed to kernel receive entries and not yet
 	// consumed, so a crash (which clears the host's kernel queues)
-	// can terminate exactly the spans buried in the lost closures.
+	// can terminate exactly the spans buried in the lost entries.
+	// rxFrames runs parallel to it with the frame of each uncoalesced
+	// entry (nil for a frame riding a burst), so all of those complete
+	// through the one pre-bound rxDoneFn, not a closure per frame.
 	burstSpans []uint64
 	rxPend     []uint64
+	rxFrames   [][]byte
 	rxHead     int
+	rxDoneFn   func()
 
 	// rx counts frames accepted onto this queue (after steering,
 	// before any overflow drop), so tests can prove steering really
@@ -366,23 +383,37 @@ func (nic *NIC) RxBurstSpans() []uint64 { return nic.curBurstSpans }
 // call; 0 on a single-queue NIC.
 func (nic *NIC) RxQueue() int { return nic.curQueue }
 
-func (q *rxq) pushRx(span uint64) { q.rxPend = append(q.rxPend, span) }
+func (q *rxq) pushRx(span uint64, frame []byte) {
+	q.rxPend = append(q.rxPend, span)
+	q.rxFrames = append(q.rxFrames, frame)
+}
 
-// popRx consumes the queue's oldest pending receive span; each lane
-// is a serial FIFO server, so within one queue closures retire in
-// push order and the head is always the caller's own.
-func (q *rxq) popRx() uint64 {
+func newRxq(nic *NIC, idx, lane int, tag string) *rxq {
+	q := &rxq{nic: nic, idx: idx, lane: lane, tag: tag}
+	q.rxDoneFn = q.rxDone
+	return q
+}
+
+// popRx consumes the queue's oldest pending receive entry; each lane
+// is a serial FIFO server, so within one queue kernel entries retire
+// in push order and the head is always the caller's own.
+func (q *rxq) popRx() (span uint64, frame []byte) {
 	if q.rxHead >= len(q.rxPend) {
-		return 0
+		return 0, nil
 	}
-	s := q.rxPend[q.rxHead]
-	q.rxPend[q.rxHead] = 0
+	span, frame = q.rxPend[q.rxHead], q.rxFrames[q.rxHead]
+	q.rxPend[q.rxHead], q.rxFrames[q.rxHead] = 0, nil
 	q.rxHead++
 	if q.rxHead == len(q.rxPend) {
-		q.rxPend = q.rxPend[:0]
-		q.rxHead = 0
+		q.clearRx()
 	}
-	return s
+	return span, frame
+}
+
+func (q *rxq) clearRx() {
+	q.rxPend = q.rxPend[:0]
+	q.rxFrames = q.rxFrames[:0]
+	q.rxHead = 0
 }
 
 // DefaultQueueLimit is the input-queue bound used when a NIC does not
@@ -392,7 +423,7 @@ const DefaultQueueLimit = 32
 // Attach adds an interface with the given address to the network.
 func (n *Network) Attach(h *sim.Host, addr Addr) *NIC {
 	nic := &NIC{net: n, host: h, addr: addr}
-	nic.queues = []*rxq{{nic: nic, idx: 0, lane: -1, tag: "driver"}}
+	nic.queues = []*rxq{newRxq(nic, 0, -1, "driver")}
 	n.nics = append(n.nics, nic)
 	// Frames the interface had queued for the CPU die with the host:
 	// the host clears its interrupt and lane queues on crash, so
@@ -407,8 +438,8 @@ func (n *Network) Attach(h *sim.Host, addr Addr) *NIC {
 			for i := q.rxHead; i < len(q.rxPend); i++ {
 				tr.SpanDrop(q.rxPend[i], now, h.Name(), trace.DropCrash)
 			}
-			q.rxPend = q.rxPend[:0]
-			q.rxHead = 0
+			clear(q.rxFrames)
+			q.clearRx()
 			for _, s := range q.burstSpans {
 				tr.SpanDrop(s, now, h.Name(), trace.DropCrash)
 			}
@@ -442,9 +473,7 @@ func (nic *NIC) SetQueues(n int) {
 	q0.lane, q0.tag = 0, "driver.q0"
 	for len(nic.queues) < n {
 		i := len(nic.queues)
-		nic.queues = append(nic.queues, &rxq{
-			nic: nic, idx: i, lane: i, tag: fmt.Sprintf("driver.q%d", i),
-		})
+		nic.queues = append(nic.queues, newRxq(nic, i, i, fmt.Sprintf("driver.q%d", i)))
 	}
 }
 
@@ -556,16 +585,28 @@ func (nic *NIC) Transmit(frame []byte) error {
 }
 
 func (n *Network) send(job *txJob) {
+	if len(n.txq) == cap(n.txq) && n.txHead > len(n.txq)/2 {
+		// A saturated wire never drains the queue: slide the live
+		// jobs down rather than let append carry the dead head into
+		// an ever bigger array.
+		live := copy(n.txq, n.txq[n.txHead:])
+		clear(n.txq[live:])
+		n.txq, n.txHead = n.txq[:live], 0
+	}
 	n.txq = append(n.txq, job)
 	n.pumpWire()
 }
 
 func (n *Network) pumpWire() {
-	if n.wireBusy || len(n.txq) == 0 {
+	if n.wireBusy || n.txHead == len(n.txq) {
 		return
 	}
-	job := n.txq[0]
-	n.txq = n.txq[1:]
+	job := n.txq[n.txHead]
+	n.txq[n.txHead] = nil
+	n.txHead++
+	if n.txHead == len(n.txq) {
+		n.txq, n.txHead = n.txq[:0], 0
+	}
 	n.wireBusy = true
 	n.FramesOnWire++
 	idx := n.FramesOnWire
@@ -625,20 +666,27 @@ func (n *Network) pumpWire() {
 		}
 		tr.SpanFlag(job.span, trace.FlagDelayed)
 	}
-	n.s.After(txTime, func() {
-		n.wireBusy = false
-		if !v.Drop {
-			if v.Delay > 0 {
-				n.s.After(v.Delay, func() { n.deliver(job, job.span) })
-			} else {
-				n.deliver(job, job.span)
-			}
-			if v.Dup {
-				n.s.After(v.Delay+v.DupDelay, func() { n.deliver(job, dupSpan) })
-			}
+	n.onWire, n.verdict, n.dupSpan = job, v, dupSpan
+	n.s.After(txTime, n.wireDoneFn)
+}
+
+// wireDone runs when the frame in onWire has left the medium: deliver
+// it as its verdict says, then start the next transmission.
+func (n *Network) wireDone() {
+	job, v, dupSpan := n.onWire, n.verdict, n.dupSpan
+	n.onWire = nil
+	n.wireBusy = false
+	if !v.Drop {
+		if v.Delay > 0 {
+			n.s.After(v.Delay, func() { n.deliver(job, job.span) })
+		} else {
+			n.deliver(job, job.span)
 		}
-		n.pumpWire()
-	})
+		if v.Dup {
+			n.s.After(v.Delay+v.DupDelay, func() { n.deliver(job, dupSpan) })
+		}
+	}
+	n.pumpWire()
 }
 
 // deliver hands the frame to every accepting interface.  The first
@@ -723,24 +771,30 @@ func (nic *NIC) receive(frame []byte, span uint64) {
 		q.coalesce(own, span)
 		return
 	}
-	q.pushRx(span)
+	q.pushRx(span, own)
 	cost := h.Costs().DriverRecv
 	if q.lane >= 0 {
 		cost += h.Costs().Steer
 	}
-	h.RunKernelOn(q.lane, q.tag, cost, func() {
-		q.pending--
-		sp := q.popRx()
-		if nic.Handler != nil {
-			nic.curSpan = sp
-			nic.curQueue = q.idx
-			nic.Handler(own)
-			nic.curSpan = 0
-			nic.curQueue = 0
-		} else {
-			h.Sim().Tracer().SpanDrop(sp, h.Clock().Now(), h.Name(), trace.DropUnclaimed)
-		}
-	})
+	h.RunKernelOn(q.lane, q.tag, cost, q.rxDoneFn)
+}
+
+// rxDone completes the driver entry of the queue's oldest uncoalesced
+// frame and hands the frame to the kernel.
+func (q *rxq) rxDone() {
+	nic := q.nic
+	q.pending--
+	span, frame := q.popRx()
+	if nic.Handler != nil {
+		nic.curSpan = span
+		nic.curQueue = q.idx
+		nic.Handler(frame)
+		nic.curSpan = 0
+		nic.curQueue = 0
+	} else {
+		h := nic.host
+		h.Sim().Tracer().SpanDrop(span, h.Clock().Now(), h.Name(), trace.DropUnclaimed)
+	}
 }
 
 // coalesce buffers an accepted frame under the queue's poll state
@@ -785,7 +839,7 @@ func (q *rxq) flush() {
 	spans := q.burstSpans[:n:n]
 	q.burstSpans = q.burstSpans[n:]
 	for _, s := range spans {
-		q.pushRx(s)
+		q.pushRx(s, nil)
 	}
 
 	h := nic.host

@@ -100,6 +100,35 @@ func TestMapPanicLowestTrial(t *testing.T) {
 	})
 }
 
+// TestMapCapturesPanicFromProcessGoroutine: a simulation's event
+// callbacks run on whichever goroutine holds its event loop — often a
+// parked process's, not the worker's.  A callback that panics there
+// must still surface in the trial's Run and fail that trial only.
+func TestMapCapturesPanicFromProcessGoroutine(t *testing.T) {
+	var finished atomic.Int64
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "trial 2 panicked: handler boom") {
+			t.Fatalf("panic = %q, want trial 2's", msg)
+		}
+		if finished.Load() != 5 {
+			t.Fatalf("%d other trials finished, want 5", finished.Load())
+		}
+	}()
+	Map(6, 3, func(i int) int {
+		s := sim.New(vtime.DefaultCosts())
+		h := s.NewHost("a")
+		s.Spawn(h, "bystander", func(p *sim.Proc) { p.Sleep(10 * time.Millisecond) })
+		if i == 2 {
+			// Fires while the parked bystander runs the loop.
+			s.After(5*time.Millisecond, func() { panic("handler boom") })
+		}
+		s.Run(0)
+		finished.Add(1)
+		return i
+	})
+}
+
 // trialRun drives one complete, self-contained simulation universe —
 // wire, two hosts, packet-filter device, a paced source and a reading
 // sink — and returns a digest of everything observable: final virtual

@@ -20,15 +20,12 @@ type Host struct {
 
 	// cpu state: a single processor with interrupt work served
 	// ahead of process work, matching the VAX's interrupt priority
-	// levels.
-	// Both queues pop from a head index instead of reslicing so the
-	// backing arrays are reused once drained; a steady-state receive
-	// path enqueues and dequeues without touching the allocator.
+	// levels.  The queues reuse their backing arrays (see fifo), so a
+	// steady-state receive path enqueues and dequeues without touching
+	// the allocator.
 	cpuBusy   bool
-	intrQ     []*cpuReq
-	intrHead  int
-	procQ     []*cpuReq
-	procHead  int
+	intrQ     fifo[*cpuReq]
+	procQ     fifo[*cpuReq]
 	lastOwner *Proc // last process granted the CPU
 
 	// Grant completion state: cpuBusy serializes grants, so at most
@@ -39,6 +36,11 @@ type Host struct {
 	runEpoch   uint64
 	completeFn func()
 	reqFree    []*cpuReq
+
+	// finishing is the process grant whose completion has resumed its
+	// process and still owes finish's tail; see finish.
+	finishing *cpuReq
+	finishFn  func()
 
 	// lifecycle state for fault injection: a paused host stops
 	// granting its CPU but keeps all queued work; a crashed host
@@ -66,13 +68,12 @@ type Host struct {
 }
 
 // kernelLane is one parallel kernel thread.  It mirrors the main
-// CPU's interrupt-queue discipline (head-indexed queue, pre-bound
+// CPU's interrupt-queue discipline (fifo queue, pre-bound
 // completion, epoch-guarded crash semantics) but has no process work
 // and no context switches: lanes only ever run RunKernelOn grants.
 type kernelLane struct {
 	busy       bool
-	q          []*cpuReq
-	head       int
+	q          fifo[*cpuReq]
 	running    *cpuReq
 	runEpoch   uint64
 	completeFn func()
@@ -89,6 +90,12 @@ type cpuReq struct {
 func (s *Sim) NewHost(name string) *Host {
 	h := &Host{sim: s, name: name, KernelTime: make(map[string]time.Duration)}
 	h.completeFn = h.complete
+	h.finishFn = func() {
+		r := h.finishing
+		h.finishing = nil
+		h.putReq(r)
+		h.pump()
+	}
 	s.hosts = append(s.hosts, h)
 	return h
 }
@@ -132,7 +139,7 @@ func (h *Host) Costs() vtime.Costs { return h.sim.costs }
 func (h *Host) RunKernel(tag string, d time.Duration, fn func()) {
 	h.Counters.KernelEntries++
 	h.sim.Counters.KernelEntries++
-	h.intrQ = append(h.intrQ, h.getReq(d, nil, fn, tag))
+	h.intrQ.push(h.getReq(d, nil, fn, tag))
 	h.pump()
 }
 
@@ -167,25 +174,16 @@ func (h *Host) RunKernelOn(lane int, tag string, d time.Duration, fn func()) {
 	h.Counters.KernelEntries++
 	h.sim.Counters.KernelEntries++
 	l := h.lanes[lane]
-	l.q = append(l.q, h.getReq(d, nil, fn, tag))
+	l.q.push(h.getReq(d, nil, fn, tag))
 	h.lanePump(l)
 }
 
 // lanePump grants the lane to its next queued request if idle.
 func (h *Host) lanePump(l *kernelLane) {
-	if l.busy || h.paused || h.down {
+	if l.busy || h.paused || h.down || l.q.len() == 0 {
 		return
 	}
-	if l.head >= len(l.q) {
-		return
-	}
-	r := l.q[l.head]
-	l.q[l.head] = nil
-	l.head++
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
-	}
+	r := l.q.pop()
 	if tr := h.sim.tracer; tr != nil {
 		tr.KernelSlice(h.sim.now, h.name, r.tag, "", r.d)
 	}
@@ -223,7 +221,7 @@ func (h *Host) laneComplete(l *kernelLane) {
 // Called from process context via Proc.Consume and the syscall
 // helpers.
 func (h *Host) requestCPU(p *Proc, d time.Duration, kernelMode bool, tag string) {
-	h.procQ = append(h.procQ, h.getReq(d, p, nil, tag))
+	h.procQ.push(h.getReq(d, p, nil, tag))
 	_ = kernelMode
 	h.pump()
 	p.park()
@@ -256,19 +254,13 @@ func (h *Host) Resume() {
 func (h *Host) Crash() {
 	h.down = true
 	h.epoch++
-	for i := h.intrHead; i < len(h.intrQ); i++ {
-		h.putReq(h.intrQ[i])
-		h.intrQ[i] = nil
+	for h.intrQ.len() > 0 {
+		h.putReq(h.intrQ.pop())
 	}
-	h.intrQ = h.intrQ[:0]
-	h.intrHead = 0
 	for _, l := range h.lanes {
-		for i := l.head; i < len(l.q); i++ {
-			h.putReq(l.q[i])
-			l.q[i] = nil
+		for l.q.len() > 0 {
+			h.putReq(l.q.pop())
 		}
-		l.q = l.q[:0]
-		l.head = 0
 	}
 	for _, fn := range h.crashHooks {
 		fn()
@@ -301,22 +293,10 @@ func (h *Host) pump() {
 	}
 	var r *cpuReq
 	switch {
-	case h.intrHead < len(h.intrQ):
-		r = h.intrQ[h.intrHead]
-		h.intrQ[h.intrHead] = nil
-		h.intrHead++
-		if h.intrHead == len(h.intrQ) {
-			h.intrQ = h.intrQ[:0]
-			h.intrHead = 0
-		}
-	case h.procHead < len(h.procQ):
-		r = h.procQ[h.procHead]
-		h.procQ[h.procHead] = nil
-		h.procHead++
-		if h.procHead == len(h.procQ) {
-			h.procQ = h.procQ[:0]
-			h.procHead = 0
-		}
+	case h.intrQ.len() > 0:
+		r = h.intrQ.pop()
+	case h.procQ.len() > 0:
+		r = h.procQ.pop()
 	default:
 		return
 	}
@@ -375,8 +355,7 @@ func (h *Host) complete() {
 		if r.proc != nil {
 			h.sim.runProc(r.proc)
 		}
-		h.putReq(r)
-		h.pump()
+		h.finish(r)
 		return
 	}
 	tr := h.sim.tracer
@@ -401,6 +380,21 @@ func (h *Host) complete() {
 		if r.fn != nil {
 			r.fn()
 		}
+	}
+	h.finish(r)
+}
+
+// finish ends complete: recycle the request and grant the CPU to the
+// next one.  After a process grant the resumed process must run
+// before this tail — its next CPU request joins the queue ahead of
+// the pump, and that order is in every golden hash — but runProc only
+// marks it, so the tail waits in Sim.cont until the process parks or
+// exits.
+func (h *Host) finish(r *cpuReq) {
+	if r.proc != nil {
+		h.finishing = r
+		h.sim.cont = h.finishFn
+		return
 	}
 	h.putReq(r)
 	h.pump()

@@ -9,7 +9,7 @@ package sim
 type Pipe struct {
 	host    *Host
 	cap     int
-	buf     [][]byte
+	buf     fifo[[]byte]
 	readers *WaitQ
 	writers *WaitQ
 }
@@ -28,11 +28,11 @@ func (s *Sim) NewPipe(h *Host, capacity int) *Pipe {
 func (p *Proc) Write(pipe *Pipe, msg []byte) {
 	p.Syscall("pipe")
 	p.ConsumeKernel("pipe", p.sim.costs.Pipe)
-	for len(pipe.buf) >= pipe.cap {
+	for pipe.buf.len() >= pipe.cap {
 		p.Wait(pipe.writers, 0)
 	}
 	p.CopyIn("pipe", len(msg))
-	pipe.buf = append(pipe.buf, append([]byte(nil), msg...))
+	pipe.buf.push(append([]byte(nil), msg...))
 	pipe.readers.WakeOne(pipe.host)
 }
 
@@ -40,15 +40,14 @@ func (p *Proc) Write(pipe *Pipe, msg []byte) {
 // copy.  It blocks while the pipe is empty.
 func (p *Proc) Read(pipe *Pipe) []byte {
 	p.Syscall("pipe")
-	for len(pipe.buf) == 0 {
+	for pipe.buf.len() == 0 {
 		p.Wait(pipe.readers, 0)
 	}
-	msg := pipe.buf[0]
-	pipe.buf = pipe.buf[1:]
+	msg := pipe.buf.pop()
 	p.CopyOut("pipe", len(msg))
 	pipe.writers.WakeOne(pipe.host)
 	return msg
 }
 
 // Len returns the number of buffered messages.
-func (pipe *Pipe) Len() int { return len(pipe.buf) }
+func (pipe *Pipe) Len() int { return pipe.buf.len() }

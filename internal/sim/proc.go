@@ -21,20 +21,32 @@ type Proc struct {
 	// switches take place" — §6.5.1; once it does suspend, resuming
 	// it costs a switch).
 	blocked bool
+
+	// resumeFn is the event that resumes this process, bound once so
+	// Sleep, Yield and wakeups schedule it without allocating.
+	resumeFn func()
+
+	// Wait state.  A process blocks on at most one queue at a time, so
+	// the waiter record and its timeout callback live here.
+	waitQ     *WaitQ
+	woken     bool
+	timeout   *event
+	tgen      uint64 // generation of timeout when armed (events are pooled)
+	timeoutFn func()
 }
 
 // Spawn creates a process on host h running fn.  The process starts
 // when the event loop next runs.  Spawn may be called from any
 // context.
 func (s *Sim) Spawn(h *Host, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, host: h, name: name, resume: make(chan struct{})}
-	s.nprocs++
+	p := &Proc{sim: s, host: h, name: name, resume: make(chan struct{}, 1)}
+	p.resumeFn = func() { s.runProc(p) }
+	p.timeoutFn = p.waitTimedOut
 	go func() {
 		<-p.resume
 		fn(p)
 		p.done = true
-		s.nprocs--
-		s.yield <- struct{}{}
+		s.dispatch(p)
 	}()
 	s.schedule(p)
 	return p
@@ -52,13 +64,12 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.sim.now }
 
-// park yields to the event loop until something resumes this process.
+// park runs the event loop until something resumes this process.
 func (p *Proc) park() {
 	if p.sim.current != p {
 		panic("sim: park from wrong context")
 	}
-	p.sim.yield <- struct{}{}
-	<-p.resume
+	p.sim.dispatch(p)
 }
 
 // Consume charges d of user-mode CPU time, competing with other work
@@ -79,7 +90,7 @@ func (p *Proc) ConsumeKernel(tag string, d time.Duration) {
 // CPU.
 func (p *Proc) Sleep(d time.Duration) {
 	p.sim.assertProc("Sleep")
-	p.sim.After(d, func() { p.sim.runProc(p) })
+	p.sim.After(d, p.resumeFn)
 	p.park()
 }
 

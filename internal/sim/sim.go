@@ -6,9 +6,13 @@
 //
 // Protocol code in this repository is written in ordinary blocking
 // style (read, write, wait); under the hood each simulated process is
-// a goroutine that runs in lockstep with the event loop — exactly one
-// goroutine (either the event loop or one process) is ever runnable,
-// so simulations are fully deterministic and need no locking.
+// a goroutine, and exactly one goroutine — a process or Run's caller —
+// is ever runnable, so simulations are fully deterministic and need no
+// locking.  No goroutine is the event loop: whoever parks runs it,
+// popping events on its own goroutine until one resumes a process —
+// itself (it just returns) or another (one channel send; see
+// dispatch).  "Event-loop context" below means code run from an
+// event, on whichever goroutine that is.
 //
 // The paper's performance arguments are about counts: how many context
 // switches, system calls and copies a received packet costs under each
@@ -19,7 +23,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -38,8 +41,9 @@ var _ clock.Clock = (*Sim)(nil)
 // any number of hosts.
 type Sim struct {
 	now    time.Duration
-	events eventHeap
+	events []heapEntry // 4-ary min-heap ordered by (when, seq)
 	seq    uint64
+	limit  time.Duration // the running Run's limit, 0 for none
 	costs  vtime.Costs
 	hosts  []*Host
 	tracer *trace.Tracer
@@ -47,9 +51,20 @@ type Sim struct {
 	// Counters aggregates events across all hosts.
 	Counters vtime.Counters
 
-	yield   chan struct{} // lockstep handshake with process goroutines
-	current *Proc         // process currently executing, nil in event loop
-	nprocs  int
+	current *Proc // process currently executing, nil in event loop
+
+	// The baton (see dispatch).  next is the process the running event
+	// asked to resume, cont the rest of that event, run once the
+	// process has parked again.  main wakes Run's caller when the
+	// goroutine holding the loop runs out of work, failure carries a
+	// panic there from an event that ran on a process goroutine, and
+	// transfers counts baton hand-overs for the tests.
+	running   bool
+	next      *Proc
+	cont      func()
+	main      chan struct{}
+	failure   any
+	transfers uint64
 
 	// free recycles fired events so the per-packet hot path (every
 	// CPU grant is one sim.After) allocates nothing in steady state.
@@ -58,7 +73,7 @@ type Sim struct {
 
 // New creates a simulation with the given cost model.
 func New(costs vtime.Costs) *Sim {
-	return &Sim{costs: costs, yield: make(chan struct{})}
+	return &Sim{costs: costs, main: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time.
@@ -79,30 +94,58 @@ func (s *Sim) SetTracer(t *trace.Tracer) { s.tracer = t }
 func (s *Sim) Tracer() *trace.Tracer { return s.tracer }
 
 type event struct {
+	gen uint64 // bumped on reuse so stale handles cannot cancel a recycled event
+	fn  func()
+}
+
+// heapEntry keeps an event's key beside its pointer, so sifting
+// compares and moves values without touching the events themselves.
+type heapEntry struct {
 	when time.Duration
 	seq  uint64
-	gen  uint64 // bumped on reuse so stale handles cannot cancel a recycled event
-	fn   func()
+	e    *event
 }
 
-type eventHeap []*event
+func (a *heapEntry) before(b *heapEntry) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+func (s *Sim) push(it heapEntry) {
+	h := append(s.events, it)
+	i := len(h) - 1
+	for i > 0 && it.before(&h[(i-1)/4]) {
+		h[i] = h[(i-1)/4]
+		i = (i - 1) / 4
 	}
-	return h[i].seq < h[j].seq
+	h[i] = it
+	s.events = h
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// pop removes the earliest entry; the queue must not be empty.
+func (s *Sim) pop() heapEntry {
+	h := s.events
+	top, n := h[0], len(h)-1
+	it := h[n] // re-inserted from the root down
+	h[n] = heapEntry{}
+	s.events = h[:n]
+	i := 0
+	for first := 1; first < n; first = 4*i + 1 {
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(&it) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	if n > 0 {
+		h[i] = it
+	}
+	return top
 }
 
 // At schedules fn to run in event-loop context at virtual time when
@@ -120,9 +163,9 @@ func (s *Sim) At(when time.Duration, fn func()) *event {
 	} else {
 		e = &event{}
 	}
-	e.when, e.seq, e.fn = when, s.seq, fn
+	e.fn = fn
+	s.push(heapEntry{when: when, seq: s.seq, e: e})
 	s.seq++
-	heap.Push(&s.events, e)
 	return e
 }
 
@@ -176,28 +219,128 @@ func (t *Timer) Stop() {
 }
 
 // Run processes events until the queue is empty or the virtual clock
-// would pass limit (0 means no limit).  It returns the virtual time at
-// which it stopped.  Run must not be called from process context.
+// would pass limit (0 means no limit; a limit already behind the clock
+// runs nothing and leaves the clock alone).  It returns the virtual
+// time at which it stopped.  Run must not be called from process
+// context.  A panic in an event callback surfaces here, whichever
+// goroutine the callback ran on.
 func (s *Sim) Run(limit time.Duration) time.Duration {
 	s.assertEventLoop("Run")
-	for s.events.Len() > 0 {
-		e := s.events[0]
-		if limit > 0 && e.when > limit {
-			s.now = limit
-			return s.now
-		}
-		heap.Pop(&s.events)
-		s.now = e.when
-		// Recycle before running: fn may schedule new events and is
-		// welcome to reuse this one (its gen is bumped on reuse).
-		fn := e.fn
-		e.fn = nil
-		s.free = append(s.free, e)
-		if fn != nil {
-			fn()
+	if s.running {
+		panic("sim: Run re-entered from an event callback")
+	}
+	s.running = true
+	defer func() { s.running = false }()
+	s.limit = limit
+	if p := s.loop(); p != nil {
+		s.handTo(p)
+		<-s.main
+		if f := s.failure; f != nil {
+			s.failure = nil
+			panic(f)
 		}
 	}
 	return s.now
+}
+
+// loop runs events on the calling goroutine until one of them resumes
+// a process, and returns that process with the clock at that event.
+// It returns nil when the queue is empty or the next event lies past
+// the limit.
+func (s *Sim) loop() *Proc {
+	for {
+		if c := s.cont; c != nil {
+			s.cont = nil
+			c()
+		}
+		if len(s.events) == 0 {
+			return nil
+		}
+		if s.limit > 0 && s.events[0].when > s.limit {
+			if s.limit > s.now {
+				s.now = s.limit
+			}
+			return nil
+		}
+		it := s.pop()
+		s.now = it.when
+		// Recycle before running: fn may schedule new events and is
+		// welcome to reuse this one (its gen is bumped on reuse).
+		fn := it.e.fn
+		it.e.fn = nil
+		s.free = append(s.free, it.e)
+		if fn == nil {
+			continue
+		}
+		fn()
+		if p := s.next; p != nil {
+			s.next = nil
+			return p
+		}
+	}
+}
+
+// dispatch is what a process does instead of yielding to an event-loop
+// goroutine: on parking (or exiting) it runs the loop itself, until
+//
+//	(a) an event resumes this very process: return, no goroutine switch;
+//	(b) an event resumes another process: hand it the baton with one
+//	    send, then block until someone resumes this one;
+//	(c) nothing is left to run before Run's limit: wake Run's caller
+//	    and block likewise.
+//
+// s.current is nil exactly while loop code runs, on any goroutine.
+func (s *Sim) dispatch(self *Proc) {
+	s.current = nil
+	switch next := s.guardedLoop(self); next {
+	case self:
+		s.current = self
+		return
+	case nil:
+		s.transfers++
+		s.main <- struct{}{}
+	default:
+		s.handTo(next)
+	}
+	if !self.done {
+		<-self.resume
+	}
+}
+
+// handTo passes the baton to p's goroutine.
+func (s *Sim) handTo(p *Proc) {
+	s.current = p
+	s.transfers++
+	p.resume <- struct{}{}
+}
+
+// guardedLoop is loop on a process goroutine, where an event callback
+// that panics or calls runtime.Goexit (t.FailNow in a handler) must
+// neither unwind the bystander process holding the loop nor strand
+// Run's caller.  A panic is recovered and handed to Run to re-panic;
+// the process parks as if the loop had run dry and stays resumable.
+// Goexit cannot be stopped, so the process is written off and its
+// goroutine held here, where its deferred calls cannot race with
+// Run's caller.
+func (s *Sim) guardedLoop(self *Proc) (next *Proc) {
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		if s.failure = recover(); s.failure != nil {
+			next = nil
+			return
+		}
+		s.failure = fmt.Sprintf("sim: an event callback called runtime.Goexit (t.FailNow in a handler?) on the goroutine of process %q", self.name)
+		self.done = true
+		s.transfers++
+		s.main <- struct{}{}
+		select {}
+	}()
+	next = s.loop()
+	returned = true
+	return next
 }
 
 // RunFor advances the simulation by d of virtual time.
@@ -216,20 +359,21 @@ func (s *Sim) assertProc(op string) *Proc {
 	return s.current
 }
 
-// runProc transfers control to p until it parks or exits.  Event-loop
-// context only.
+// runProc resumes p once the running event returns.  It must be the
+// event's last action: the event loop stops at this event, and any
+// work the event still owes goes in s.cont.  Event-loop context only.
 func (s *Sim) runProc(p *Proc) {
 	if p.done {
 		return
 	}
-	s.current = p
-	p.resume <- struct{}{}
-	<-s.yield
-	s.current = nil
+	if s.next != nil {
+		panic(fmt.Sprintf("sim: one event resumed both %q and %q", s.next.name, p.name))
+	}
+	s.next = p
 }
 
 // schedule arranges for p to resume via the event queue; safe from any
 // context.
 func (s *Sim) schedule(p *Proc) {
-	s.At(s.now, func() { s.runProc(p) })
+	s.At(s.now, p.resumeFn)
 }

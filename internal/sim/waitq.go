@@ -7,14 +7,7 @@ import "time"
 // process code unblocks them with WakeOne/WakeAll.
 type WaitQ struct {
 	sim     *Sim
-	waiters []*waiter
-}
-
-type waiter struct {
-	proc    *Proc
-	woken   bool
-	timeout *event
-	tgen    uint64 // generation of timeout when armed (events are pooled)
+	waiters fifo[*Proc]
 }
 
 // NewWaitQ creates a wait queue.
@@ -25,33 +18,43 @@ func (s *Sim) NewWaitQ() *WaitQ { return &WaitQ{sim: s} }
 // the process was woken (false on timeout).
 func (p *Proc) Wait(q *WaitQ, timeout time.Duration) bool {
 	p.sim.assertProc("Wait")
-	w := &waiter{proc: p}
 	p.blocked = true
-	q.waiters = append(q.waiters, w)
+	p.woken = false
+	p.timeout = nil
+	q.waiters.push(p)
 	if timeout > 0 {
-		w.timeout = p.sim.After(timeout, func() {
-			if w.woken {
-				return
-			}
-			q.remove(w)
-			p.sim.runProc(p)
-		})
-		w.tgen = w.timeout.gen
+		p.waitQ = q
+		p.timeout = p.sim.After(timeout, p.timeoutFn)
+		p.tgen = p.timeout.gen
 	}
 	p.park()
 	// A wakeup that raced with the timeout may resume us after the
 	// timeout event fired and was recycled; only cancel our own
-	// generation.
-	if w.woken && w.timeout != nil && w.timeout.gen == w.tgen {
-		w.timeout.cancel()
+	// generation.  Either way no timeout event of this Wait outlives
+	// it, which is what lets the next Wait reuse timeoutFn.
+	if p.woken && p.timeout != nil && p.timeout.gen == p.tgen {
+		p.timeout.cancel()
 	}
-	return w.woken
+	return p.woken
 }
 
-func (q *WaitQ) remove(w *waiter) {
-	for i, x := range q.waiters {
-		if x == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+// waitTimedOut is the timeout event of the Wait p is blocked in.
+func (p *Proc) waitTimedOut() {
+	if p.woken {
+		return
+	}
+	p.waitQ.remove(p)
+	p.sim.runProc(p)
+}
+
+func (q *WaitQ) remove(p *Proc) {
+	w := &q.waiters
+	for i := w.head; i < len(w.items); i++ {
+		if w.items[i] == p {
+			last := len(w.items) - 1
+			copy(w.items[i:], w.items[i+1:])
+			w.items[last] = nil
+			w.items = w.items[:last]
 			return
 		}
 	}
@@ -61,26 +64,22 @@ func (q *WaitQ) remove(w *waiter) {
 // scheduler's wakeup cost to h.  It reports whether a process was
 // woken.  Safe from any context.
 func (q *WaitQ) WakeOne(h *Host) bool {
-	if len(q.waiters) == 0 {
+	if q.waiters.len() == 0 {
 		return false
 	}
-	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	q.wake(h, w)
+	q.wake(h, q.waiters.pop())
 	return true
 }
 
 // WakeAll unblocks every waiting process.
 func (q *WaitQ) WakeAll(h *Host) {
-	ws := q.waiters
-	q.waiters = nil
-	for _, w := range ws {
-		q.wake(h, w)
+	for q.waiters.len() > 0 {
+		q.wake(h, q.waiters.pop())
 	}
 }
 
-func (q *WaitQ) wake(h *Host, w *waiter) {
-	w.woken = true
+func (q *WaitQ) wake(h *Host, p *Proc) {
+	p.woken = true
 	h.Counters.Wakeups++
 	q.sim.Counters.Wakeups++
 	if tr := q.sim.tracer; tr != nil {
@@ -89,8 +88,8 @@ func (q *WaitQ) wake(h *Host, w *waiter) {
 	// The woken process becomes runnable after the scheduler's
 	// wakeup cost; the context switch itself is charged when the
 	// CPU actually passes to it.
-	q.sim.After(q.sim.costs.Wakeup, func() { q.sim.runProc(w.proc) })
+	q.sim.After(q.sim.costs.Wakeup, p.resumeFn)
 }
 
 // Len returns the number of blocked processes.
-func (q *WaitQ) Len() int { return len(q.waiters) }
+func (q *WaitQ) Len() int { return q.waiters.len() }

@@ -1,0 +1,37 @@
+package workload
+
+import (
+	"testing"
+
+	"repro/internal/ethersim"
+)
+
+// TestFrameAllocations: the pieces of a frame are assembled in the
+// generator's scratch buffer, so the frame Encode returns is the only
+// allocation — plus, for a Pup frame, the payload pup.Marshal builds.
+func TestFrameAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	cases := []struct {
+		class string
+		mix   Mix
+		want  float64
+	}{
+		{"ip", Mix{PctIP: 100}, 1},
+		{"arp", Mix{PctARP: 100}, 1},
+		{"other", Mix{}, 1},
+		{"pup", Mix{PctPF: 100}, 2},
+	}
+	for _, link := range []ethersim.LinkType{ethersim.Ether3Mb, ethersim.Ether10Mb} {
+		for _, c := range cases {
+			g := NewGenerator(1, link, c.mix, pinSockets())
+			if got := testing.AllocsPerRun(200, func() { g.Frame(2, 1) }); got != c.want {
+				t.Errorf("%v %s frame allocates %.1f, want %.0f", link, c.class, got, c.want)
+			}
+			if g.LastClass != c.class {
+				t.Errorf("%v: generated %q frames, want %q", link, g.LastClass, c.class)
+			}
+		}
+	}
+}

@@ -53,6 +53,12 @@ type Generator struct {
 	// "ip", "arp", "other") — Drive tags each transmitted frame's
 	// provenance span with it.
 	LastClass string
+
+	// scratch is where a frame's payload is assembled (no payload
+	// outgrows the link's largest frame); Encode copies it into the
+	// frame it returns, so that frame is the only allocation and no
+	// caller ever holds scratch bytes.
+	scratch []byte
 }
 
 // NewGenerator creates a deterministic generator.
@@ -60,7 +66,15 @@ func NewGenerator(seed int64, link ethersim.LinkType, mix Mix, sockets []uint32)
 	return &Generator{
 		rng: rand.New(rand.NewSource(seed)), mix: mix, link: link,
 		Sockets: sockets,
+		scratch: make([]byte, link.MaxFrame()),
 	}
+}
+
+// zeroed returns n zero bytes of scratch, valid until the next call.
+func (g *Generator) zeroed(n int) []byte {
+	b := g.scratch[:n]
+	clear(b)
+	return b
 }
 
 // Frame produces the next frame addressed to dst (src is the sender's
@@ -83,7 +97,7 @@ func (g *Generator) Frame(dst, src ethersim.Addr) []byte {
 	default:
 		g.SentOther++
 		g.LastClass = "other"
-		return g.link.Encode(dst, src, 0x9999, make([]byte, 46))
+		return g.link.Encode(dst, src, 0x9999, g.zeroed(46))
 	}
 }
 
@@ -110,7 +124,7 @@ func (g *Generator) pupFrame(dst, src ethersim.Addr) []byte {
 		ID:   g.rng.Uint32(),
 		Dst:  pup.PortAddr{Net: 1, Host: uint8(dst), Socket: g.pickSocket()},
 		Src:  pup.PortAddr{Net: 1, Host: uint8(src), Socket: 0x9000},
-		Data: make([]byte, 16+g.rng.Intn(100)),
+		Data: g.zeroed(16 + g.rng.Intn(100)),
 	}
 	payload, _ := pkt.Marshal()
 	etherType := ethersim.EtherTypePup3Mb
@@ -122,14 +136,13 @@ func (g *Generator) pupFrame(dst, src ethersim.Addr) []byte {
 
 func (g *Generator) ipFrame(dst, src ethersim.Addr) []byte {
 	// A hand-rolled IP/UDP datagram (the generator plays "the rest
-	// of the campus", not our own stack).
-	data := make([]byte, 32+g.rng.Intn(200))
-	seg := make([]byte, 8+len(data))
+	// of the campus", not our own stack): 20 bytes of IP header, 8 of
+	// UDP header, then all-zero data.
+	ip := g.zeroed(20 + 8 + 32 + g.rng.Intn(200))
+	seg := ip[20:]
 	binary.BigEndian.PutUint16(seg[0:], uint16(1024+g.rng.Intn(64)))
 	binary.BigEndian.PutUint16(seg[2:], 1) // the well-known sink port
 	binary.BigEndian.PutUint16(seg[4:], uint16(len(seg)))
-	copy(seg[8:], data)
-	ip := make([]byte, 20+len(seg))
 	ip[0] = 0x45
 	binary.BigEndian.PutUint16(ip[2:], uint16(len(ip)))
 	ip[8] = 30
@@ -144,13 +157,12 @@ func (g *Generator) ipFrame(dst, src ethersim.Addr) []byte {
 		sum = (sum & 0xFFFF) + (sum >> 16)
 	}
 	binary.BigEndian.PutUint16(ip[10:], ^uint16(sum))
-	copy(ip[20:], seg)
 	return g.link.Encode(dst, src, ethersim.EtherTypeIP, ip)
 }
 
 func (g *Generator) arpFrame(src ethersim.Addr) []byte {
 	hlen := g.link.AddrLen()
-	b := make([]byte, 8+2*hlen+8)
+	b := g.zeroed(8 + 2*hlen + 8)
 	binary.BigEndian.PutUint16(b[0:], 1)
 	binary.BigEndian.PutUint16(b[2:], uint16(ethersim.EtherTypeIP))
 	b[4] = byte(hlen)
