@@ -1,23 +1,35 @@
 package live
 
 // The control socket: pfserve's user-space API, standing in for the
-// /dev/pf character device the paper's processes open.  The protocol
-// is JSON lines over TCP — one request object per line, one response
-// per line — with the filter ioctl payload carried in the same binary
-// layout filter.Filter.MarshalBinary defines (the on-the-wire/ioctl
-// encoding the simulated device's SetFilter models).
+// /dev/pf character device the paper's processes open.  Requests are
+// JSON lines over TCP, one object per line, with the filter ioctl
+// payload carried in the same binary layout filter.Filter.MarshalBinary
+// defines (the on-the-wire/ioctl encoding the simulated device's
+// SetFilter models).
 //
 // Ops:
 //
 //	{"op":"ping"}
 //	{"op":"open","queue_limit":N,"copy_all":b,"stamp":b}      -> {"port":id}
 //	{"op":"setfilter","port":id,"filter":<base64 binary>}
-//	{"op":"read","port":id,"max":N,"timeout_ms":T}            -> {"packets":[...]}
+//	{"op":"read","port":id,"max":N,"timeout_ms":T}            -> {"n":K} + K records
 //	{"op":"close","port":id}
 //	{"op":"stats"}                                            -> {"stats":{...}}
+//
+// Every reply starts with one JSON header line; only a read reply
+// carrying packets is followed by binary records, the way read(2) on
+// the paper's device hands back raw frames:
+//
+//	reply  = header "\n" record*K
+//	header = {"ok":true,"port":id,"drops":D,"n":K}   (zero fields omitted)
+//	record = length:uint32 big-endian, then length frame bytes
+//
+// K is at most maxReplyFrames and a length at most maxDatagram; the
+// client rejects anything larger before allocating for it.
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,10 +61,26 @@ type Response struct {
 	OK      bool         `json:"ok"`
 	Err     string       `json:"err,omitempty"`
 	Port    int          `json:"port,omitempty"`
-	Packets [][]byte     `json:"packets,omitempty"`
+	Packets [][]byte     `json:"-"`               // read: sent as binary records after the header
 	Drops   uint64       `json:"drops,omitempty"` // port overflow drops up to the last packet
 	Stats   *StatsReport `json:"stats,omitempty"`
 }
+
+// replyHeader is a reply's JSON line: the Response plus N, the count
+// of binary records that follow it.
+type replyHeader struct {
+	Response
+	N int `json:"n,omitempty"`
+}
+
+// maxReplyFrames bounds the records in one read reply; the server
+// returns at most this many frames per read and the client refuses a
+// header promising more.
+const maxReplyFrames = 1 << 14
+
+// ctlBufSize is both ends' read buffer: a JSON line up to this long is
+// parsed in place, and it holds any one record (maxDatagram) whole.
+const ctlBufSize = 1 << 20
 
 // SpanSummary is the provenance roll-up exposed over the control
 // socket: the flight recorder's aggregate accounting plus the drop
@@ -143,7 +171,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 1<<20)
+	br := bufio.NewReaderSize(conn, ctlBufSize)
 	bw := bufio.NewWriter(conn)
 	dec := json.NewDecoder(br)
 	enc := json.NewEncoder(bw)
@@ -153,8 +181,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		resp := s.handle(req)
-		if err := enc.Encode(resp); err != nil {
+		if err := enc.Encode(replyHeader{resp, len(resp.Packets)}); err != nil {
 			return
+		}
+		var prefix [4]byte // write errors stick in bw; Flush reports them
+		for _, p := range resp.Packets {
+			binary.BigEndian.PutUint32(prefix[:], uint32(len(p)))
+			bw.Write(prefix[:])
+			bw.Write(p)
 		}
 		if err := bw.Flush(); err != nil {
 			return
@@ -207,7 +241,11 @@ func (s *Server) handle(req Request) Response {
 		if req.TimeoutMS > 0 {
 			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
-		pkts, err := port.ReadBatch(req.Max, timeout)
+		limit := req.Max
+		if limit <= 0 || limit > maxReplyFrames {
+			limit = maxReplyFrames
+		}
+		pkts, err := port.ReadBatch(limit, timeout)
 		switch err {
 		case nil:
 		case ErrTimeout, ErrWouldBlock:
@@ -295,13 +333,17 @@ func (s *Server) statsReport() *StatsReport {
 	return rep
 }
 
-// Client is a control-socket client.
+// Client is a control-socket client.  A transport or framing error
+// breaks it for good: the connection is closed and every later call
+// returns the same error, since a reply cut short leaves the stream
+// out of step with the protocol.
 type Client struct {
 	conn net.Conn
-	dec  *json.Decoder
+	br   *bufio.Reader
 	enc  *json.Encoder
 	bw   *bufio.Writer
 	mu   sync.Mutex
+	err  error // sticky; set once the connection is broken
 }
 
 // DefaultDialTimeout bounds DialControl: a pfserve that is absent or
@@ -323,7 +365,7 @@ func DialControlTimeout(addr string, timeout time.Duration) (*Client, error) {
 	bw := bufio.NewWriter(conn)
 	return &Client{
 		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReaderSize(conn, 1<<20)),
+		br:   bufio.NewReaderSize(conn, ctlBufSize),
 		enc:  json.NewEncoder(bw),
 		bw:   bw,
 	}, nil
@@ -349,20 +391,116 @@ func connErr(err error) error {
 func (c *Client) Do(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, connErr(err)
+	if c.err != nil {
+		return Response{}, c.err
 	}
-	if err := c.bw.Flush(); err != nil {
-		return Response{}, connErr(err)
+	err := c.enc.Encode(req)
+	if err == nil {
+		err = c.bw.Flush()
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return Response{}, connErr(err)
+	if err == nil {
+		resp, err = readReply(c.br)
+	}
+	if err != nil {
+		c.err = connErr(err)
+		c.conn.Close()
+		return Response{}, c.err
 	}
 	if resp.Err != "" {
 		return resp, fmt.Errorf("pfserve: %s", resp.Err)
 	}
 	return resp, nil
+}
+
+// readReply decodes one reply: the header line, then its records.
+// Every allocation waits until the bytes it will hold have arrived,
+// so a lying header costs no more memory than the bytes it came with.
+func readReply(br *bufio.Reader) (Response, error) {
+	line, err := readLine(br)
+	if err != nil {
+		return Response{}, err
+	}
+	var h replyHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		return Response{}, fmt.Errorf("bad reply header: %w", err)
+	}
+	if h.N < 0 || h.N > maxReplyFrames {
+		return Response{}, fmt.Errorf("reply promises %d records, limit %d", h.N, maxReplyFrames)
+	}
+	if h.N > 0 {
+		if h.Packets, err = readRecords(br, h.N); err != nil {
+			return Response{}, err
+		}
+	}
+	return h.Response, nil
+}
+
+// readLine returns the next line without its newline.  A line that
+// fits the buffer is returned in place, valid until the next read;
+// a longer one (a big stats block) is gathered into a copy.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			line, err = br.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
+	if err != nil {
+		return nil, err
+	}
+	return line[:len(line)-1], nil
+}
+
+// readRecords reads n length-prefixed records.  The frames share one
+// arena per buffer-load: the lengths are walked with Peek first, so
+// the arena is sized exactly and a reply that fits the buffer costs
+// two allocations however many frames it carries.
+func readRecords(br *bufio.Reader, n int) ([][]byte, error) {
+	// Every record is at least its length prefix: wait for 4n bytes
+	// before spending 24n on the slice headers.
+	if _, err := br.Peek(4 * n); err != nil {
+		return nil, err
+	}
+	pkts := make([][]byte, n)
+	for i := 0; i < n; {
+		// Walk as many whole records as the buffer holds.
+		j, off, size := i, 0, 0
+		for j < n {
+			prefix, err := br.Peek(off + 4)
+			if err == bufio.ErrBufferFull && j > i {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			l := int(binary.BigEndian.Uint32(prefix[off:]))
+			if l > maxDatagram {
+				return nil, fmt.Errorf("reply record of %d bytes, limit %d", l, maxDatagram)
+			}
+			if off+4+l > br.Size() && j > i {
+				break
+			}
+			off += 4 + l
+			size += l
+			j++
+		}
+		buf, err := br.Peek(off)
+		if err != nil {
+			return nil, err
+		}
+		arena := make([]byte, size)
+		for ; i < j; i++ {
+			l := int(binary.BigEndian.Uint32(buf))
+			copy(arena, buf[4:4+l])
+			pkts[i], arena, buf = arena[:l:l], arena[l:], buf[4+l:]
+		}
+		br.Discard(off)
+	}
+	return pkts, nil
 }
 
 // Ping checks liveness.

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"bufio"
+	"encoding/binary"
 	"io"
 	"net"
 	"os"
@@ -69,6 +71,52 @@ func TestClientServerGoneMidSession(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "closed by pfserve") {
 		t.Errorf("mid-session hangup surfaced as %q, want a closed-by-pfserve diagnosis", err)
+	}
+}
+
+// A reply cut off inside its records leaves the stream out of step with
+// the protocol, so the client must not read on: the failed read breaks
+// it, and every later call returns the same error without touching the
+// connection (which would block, or parse frame bytes as a header).
+func TestClientBrokenReplyStaysBroken(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		bufio.NewReader(conn).ReadString('\n') // the read request
+		reply := []byte("{\"ok\":true,\"n\":3}\n")
+		reply = append(binary.BigEndian.AppendUint32(reply, 10), "0123456789"...)
+		reply = append(binary.BigEndian.AppendUint32(reply, 10), "01234"...)
+		conn.Write(reply) // a record and a half, then hang up
+	}()
+	c, err := DialControl(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pkts, rerr := c.Read(0, 0, 0)
+	if rerr == nil {
+		t.Fatalf("truncated reply read back as %d frames", len(pkts))
+	}
+	if !strings.Contains(rerr.Error(), "closed by pfserve") {
+		t.Errorf("truncated reply surfaced as %q, want a closed-by-pfserve diagnosis", rerr)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Ping() }()
+	select {
+	case perr := <-done:
+		if perr != rerr {
+			t.Errorf("ping after the broken read returned %v, want the read's error %v", perr, rerr)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("ping on a broken client blocked")
 	}
 }
 
