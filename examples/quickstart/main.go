@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/ethersim"
+	"repro/internal/filter"
 	"repro/internal/pup"
 )
 
@@ -18,7 +18,7 @@ func main() {
 	// The paper's figure 3-9 filter: accept Pup packets whose
 	// destination socket is 35, testing the most selective field
 	// first with short-circuit operators.
-	prog, err := core.NewBuilder().
+	prog, err := filter.NewBuilder().
 		CANDWordEQ(8, 35). // low word of DstSocket == 35, else reject now
 		CANDWordEQ(7, 0).  // high word == 0
 		WordEQ(1, 2).      // Ethernet type == Pup
@@ -48,13 +48,13 @@ func main() {
 
 	// 1. The checked interpreter (the production engine of §4).
 	for name, pkt := range map[string][]byte{"socket 35": match, "socket 36": miss} {
-		r := core.Run(prog, pkt)
+		r := filter.Run(prog, pkt)
 		fmt.Printf("checked interpreter, %s: accept=%v after %d instructions\n",
 			name, r.Accept, r.Instrs)
 	}
 
 	// 2. Prevalidated (§7: hoist the per-instruction checks).
-	pv, err := core.Prevalidate(prog, core.ValidateOptions{})
+	pv, err := filter.Prevalidate(prog, filter.ValidateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,19 +62,19 @@ func main() {
 		pv.Run(match).Accept, pv.Info().MaxStack, pv.Info().Instrs)
 
 	// 3. Compiled to closures (§7's "machine code").
-	c, err := core.Compile(prog, core.ValidateOptions{}, core.Env{})
+	c, err := filter.Compile(prog, filter.ValidateOptions{}, filter.Env{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("compiled: accept=%v\n", c.Run(match))
 
 	// 4. A whole filter set merged into one decision table (§7).
-	set := []core.Filter{
+	set := []filter.Filter{
 		{Priority: 10, Program: prog},
-		core.DstSocketFilter(10, 36),
-		core.DstSocketFilter(5, 99),
+		filter.DstSocketFilter(10, 36),
+		filter.DstSocketFilter(5, 99),
 	}
-	tbl := core.BuildTable(set)
+	tbl := filter.BuildTable(set)
 	fmt.Printf("decision table: packet for socket 36 matches filter #%d\n",
 		tbl.MatchBest(miss))
 }

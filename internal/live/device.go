@@ -1,15 +1,22 @@
 // Package live hosts the packet-filter engine on real time and real
-// goroutines: the same filter language, evaluation modes, priority
-// scan, busy-first reordering, resource governor and provenance spans
-// as the simulated device (package pfdev), driven by frames arriving
-// from a loopback-UDP wire (wire.go) instead of the virtual Ethernet.
+// goroutines, driven by frames arriving from a loopback-UDP wire
+// (wire.go) instead of the virtual Ethernet.
 //
-// The simulated device charges virtual CPU for every evaluation step
-// so the paper's §6 numbers are reproducible; the live device skips
-// the charging (wall time is measured, not modeled) but keeps every
-// verdict, counter and drop reason identical — the mode-equivalence
-// test pins that the two devices, given the same filter set and packet
-// sequence, fill in the same pfdev.PortStats field by field.
+// The engine state is pfdev's own code, not a copy: each Port embeds a
+// pfdev.Binding (the filter validated or compiled per evaluation mode,
+// its per-mode evaluation and pricing, match counters and the
+// governor's token bucket and quarantine), the Device keeps its scan
+// order and decision table in a pfdev.TableIndex (busy-first
+// reordering, incremental table patches, the slot→port scan index) and
+// its overload controller in a pfdev.Admission.  Those types take the
+// caller's clock reading, so here they run on wall time.  What stays in
+// this package is the clock, the locking, the queues and the two match
+// loops, which differ from pfdev's only in that the simulated device
+// charges virtual CPU for every evaluation step (the paper's §6
+// numbers) while the live one measures wall time instead.  The
+// mode-equivalence test pins that the two devices, given the same
+// filter set and packet sequence, fill in the same pfdev.PortStats
+// field by field.
 //
 // Concurrency model: one mutex serializes the whole device — the wire
 // receive goroutine delivering frames, control-socket goroutines
@@ -58,10 +65,6 @@ type Options struct {
 	// it.  Quarantine windows and token refill run on the device
 	// clock — wall seconds in live mode.
 	Gov pfdev.GovConfig
-	// FullRebuild disables incremental decision-table maintenance,
-	// mirroring pfdev.Options.FullRebuild: every churn event discards
-	// the table and the next match rebuilds it from scratch.
-	FullRebuild bool
 	// Clock is the device's time source.  Defaults to clock.NewWall();
 	// tests may substitute any clock.Clock.
 	Clock clock.Clock
@@ -94,46 +97,28 @@ type Device struct {
 	name string
 	opt  Options
 
-	ports   []*Port       // sorted: priority desc, busy-first within priority
+	// idx is the scan order (priority desc, busy-first within
+	// priority) and the published decision table with its scan index —
+	// pfdev's code, patched under the mutex.  A match snapshots the
+	// table once and finishes on it even if a governor transition
+	// patches mid-scan.
+	idx     pfdev.TableIndex[*Port]
 	byID    map[int]*Port // open ports by id
 	nextID  int
 	pktSeen uint64
 
-	// table is the published merged evaluator, maintained incrementally
-	// exactly as in pfdev: churn patches it with Insert/Remove and
-	// swaps the pointer under the mutex; a match snapshots the pointer
-	// once and finishes on that consistent table even if a governor
-	// transition patches mid-scan.
-	table *filter.Table
-
-	// Scan index, mirroring pfdev's: slotPort maps the published
-	// table's slots to their ports (valid whenever table is non-nil),
-	// Port.rank is the port's position in ports, renumbered lazily
-	// behind rankDirty, and matchSeq stamps the ports the current
-	// match's tree walk accepted.  scanVisits counts ports the table
-	// scan reached (tests only).
-	slotPort   []*Port
-	rankDirty  bool
-	matchSeq   uint64
-	scanVisits uint64
-
-	// Table-maintenance accounting, mirroring pfdev's (deterministic
-	// filter.Table.Work units).
-	tableBuilds  uint64
-	tablePatches uint64
-	tableWork    uint64
-
-	queuedTotal    int
-	shedding       bool
-	admissionSheds uint64
-	scanQuarSkip   bool
+	// Governor state: the admission controller is pfdev's; the backlog
+	// it is fed is queuedTotal (gov.go).  scanQuarSkip marks a match
+	// pass that skipped a quarantined filter.
+	adm          pfdev.Admission
+	queuedTotal  int
+	scanQuarSkip bool
 
 	received    uint64 // frames handed to Input
 	kernelDrops uint64 // no-match / quota / admission drops
 
 	treeScratch []*Port
 	portScratch []*Port
-	scanScratch []*Port
 
 	// Multi-queue receive state (mq.go).  rxqs is built once in
 	// NewDevice and never mutated, so Input may read it without the
@@ -159,6 +144,7 @@ func NewDevice(opt Options) *Device {
 	}
 	opt.Gov = opt.Gov.WithDefaults()
 	d := &Device{clk: opt.Clock, tr: opt.Tracer, name: opt.Name, opt: opt, byID: make(map[int]*Port)}
+	d.idx.Setup(opt.Mode, opt.Extensions, filter.Env{HeaderWords: opt.Link.HeaderWords()}, &d.opt.Gov, false)
 	d.startQueues()
 	return d
 }
@@ -201,21 +187,17 @@ func (pkt Packet) Span() uint64 { return pkt.span }
 
 // Port is one open port on the live device.
 type Port struct {
-	dev *Device
-	id  int
+	dev     *Device
+	id      int
+	copyAll bool
+	stamp   bool
+	closed  bool
 
-	priority uint8
-	prog     filter.Program
-	pv       *filter.Prevalidated
-	compiled *filter.Compiled
-	// fp and slot mirror pfdev's table-mode port state: the flat
-	// compilation answers quarantine-exit transition packets, and slot
-	// is the port's stable slot in the published table (-1 when not
-	// resident).  rank and treeHit belong to the device's scan index.
-	fp      *filter.FlatProg
-	slot    int
-	rank    int
-	treeHit uint64
+	// Binding is the bound filter, its scan-index place, its match
+	// counters and its governor bucket — the same state as a simulated
+	// port's.  It sits next to the flags above so a scan visit touches
+	// as few cache lines as possible.
+	pfdev.Binding
 
 	queue      []Packet
 	qhead      int
@@ -223,26 +205,9 @@ type Port struct {
 	maxQueued  int
 	dropped    uint64
 
-	copyAll bool
-	stamp   bool
-	closed  bool
-
-	matches uint64
-	instrs  uint64
 	reads   uint64
 	batches uint64
 	batched uint64
-
-	// Governor state, mirroring pfdev's port fields.
-	govTokens   float64
-	govRefill   time.Duration
-	govBound    int
-	quarUntil   time.Duration
-	quarPenalty time.Duration
-	tableActive bool
-	fuelSpent   uint64
-	quarantines uint64
-	quarSkips   uint64
 
 	qresSum time.Duration
 	qresN   uint64
@@ -261,23 +226,14 @@ func (d *Device) Open() *Port {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	port := &Port{
-		dev:         d,
-		id:          d.nextID,
-		queueLimit:  DefaultQueueLimit,
-		tableActive: true,
-		slot:        -1,
+		dev:        d,
+		id:         d.nextID,
+		queueLimit: DefaultQueueLimit,
 	}
 	port.readers = sync.NewCond(&d.mu)
-	if g := d.opt.Gov; g.Enabled {
-		// The bucket starts full at open time; rebinding a filter does
-		// not refill it (same anti-laundering rule as pfdev).
-		port.govTokens = float64(g.Burst)
-		port.govRefill = d.clk.Now()
-	}
 	d.nextID++
-	d.ports = append(d.ports, port)
 	d.byID[port.id] = port
-	d.sortPorts()
+	d.idx.AddPort(port, &port.Binding, d.clk.Now())
 	return port
 }
 
@@ -300,46 +256,7 @@ func (port *Port) SetFilter(f filter.Filter) error {
 	if port.closed {
 		return ErrClosed
 	}
-	opt := filter.ValidateOptions{Extensions: d.opt.Extensions}
-	switch d.opt.Mode {
-	case pfdev.EvalFast:
-		pv, err := filter.Prevalidate(f.Program, opt)
-		if err != nil {
-			return err
-		}
-		pv.SetEnv(filter.Env{HeaderWords: d.opt.Link.HeaderWords()})
-		port.pv = pv
-	case pfdev.EvalCompiled:
-		c, err := filter.Compile(f.Program, opt,
-			filter.Env{HeaderWords: d.opt.Link.HeaderWords()})
-		if err != nil {
-			return err
-		}
-		port.compiled = c
-	case pfdev.EvalTable:
-		// Table-mode validation happens on insert; a failing program
-		// matches nothing.  The flat compilation answers for
-		// quarantine-exit transition packets, exactly as in pfdev.
-		if fp, err := filter.CompileFlat(f.Program, filter.ValidateOptions{}, filter.Env{}); err == nil {
-			port.fp = fp
-		} else {
-			port.fp = nil
-		}
-	default:
-		// The checked interpreter accepts anything and fails per
-		// packet.
-	}
-	d.tableRemovePort(port)
-	port.prog = f.Program.Clone()
-	port.priority = f.Priority
-	if d.opt.Gov.Enabled {
-		port.govBound = pfdev.GovBound(d.opt.Mode, port.prog, opt)
-	}
-	d.sortPorts()
-	if !d.opt.Gov.Enabled || port.tableActive {
-		d.tableInsertPort(port)
-	}
-	return nil
+	return d.idx.Bind(port, &port.Binding, f, true)
 }
 
 // SetQueueLimit sets the maximum per-port input queue length.
@@ -365,28 +282,6 @@ func (port *Port) SetStamp(on bool) {
 	port.dev.mu.Lock()
 	defer port.dev.mu.Unlock()
 	port.stamp = on
-}
-
-// eval applies the port's filter to a frame, with the identical
-// per-mode instruction-unit scaling the simulated device charges.
-func (port *Port) eval(frame []byte) (bool, int) {
-	switch port.dev.opt.Mode {
-	case pfdev.EvalFast:
-		r := port.pv.Run(frame)
-		return r.Accept, (r.Instrs*3 + 4) / 5
-	case pfdev.EvalCompiled:
-		ok := port.compiled.Run(frame)
-		return ok, (port.compiled.Info().Instrs + 2) / 3
-	default:
-		var r filter.Result
-		if port.dev.opt.Extensions {
-			r = filter.RunExt(port.prog, frame,
-				filter.Env{HeaderWords: port.dev.opt.Link.HeaderWords()})
-		} else {
-			r = filter.Run(port.prog, frame)
-		}
-		return r.Accept, r.Instrs
-	}
 }
 
 // Input delivers one received frame to the device: governor admission,
@@ -426,7 +321,7 @@ func (d *Device) input(frame []byte, queue int) {
 	// origin mark is the moment the frame left the UDP socket.
 	span := d.tr.SpanOrigin(now, d.name)
 	d.received++
-	if !d.admitFrame() {
+	if d.opt.Gov.Enabled && !d.adm.Admit(d.backlog(), &d.opt.Gov) {
 		d.shedFrame(span)
 		return
 	}
@@ -436,7 +331,7 @@ func (d *Device) input(frame []byte, queue int) {
 	d.tr.SpanMark(span, trace.StageDemux, now)
 	d.pktSeen++
 	if d.opt.Reorder && d.pktSeen%uint64(d.opt.ReorderEvery) == 0 {
-		d.reorder()
+		d.idx.Reorder()
 	}
 
 	var ports []*Port
@@ -471,33 +366,29 @@ func (d *Device) input(frame []byte, queue int) {
 	d.portScratch = ports[:0]
 }
 
-// linearMatch mirrors pfdev's scan: priority order, governor
-// admission, copy-all continuation, non-copy-all early stop.
+// linearMatch is pfdev's linear scan without the virtual cost charges:
+// priority order, governor admission, copy-all continuation,
+// non-copy-all early stop.
 func (d *Device) linearMatch(frame []byte, dst []*Port) []*Port {
 	now := d.clk.Now()
 	accepted := dst
 	gov := d.opt.Gov.Enabled
 	d.scanQuarSkip = false
-	for _, port := range d.ports {
-		if port.closed || port.prog == nil {
+	for _, port := range d.idx.Ports() {
+		if port.closed || !port.Bound() {
 			continue
 		}
-		if gov && !port.govAdmit(now, &d.opt.Gov) {
+		if gov && !port.Admit(now, &d.opt.Gov) {
 			d.scanQuarSkip = true
 			continue
 		}
-		accept, instrs := port.eval(frame)
-		port.instrs += uint64(instrs)
-		if gov {
-			port.govCharge(instrs)
-		}
+		accept, instrs := port.Eval(frame)
 		if d.tr != nil {
 			d.tr.FilterEval(now, d.name, port.id, instrs, accept)
 		}
 		if !accept {
 			continue
 		}
-		port.matches++
 		accepted = append(accepted, port)
 		if !port.copyAll {
 			break
@@ -506,77 +397,26 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) []*Port {
 	return accepted
 }
 
-// tableMatch mirrors pfdev's v2 merged-decision-table path line for
-// line: the table (snapshotted once per match) answers which filters
-// can accept, while the device drives the scan in d.ports order —
-// over just the candidate ports (scanSet) with the governor off, over
-// all of d.ports with it on, deciding admission as each port is
-// reached and patching quarantine transitions into the published
-// table — evaluating reached fallbacks lazily and stopping at the
-// first non-copy-all accept.  Per-port accounting (instrs, fuel,
-// FilterEval traces, edge shares) is identical to pfdev's, which is
-// what keeps the mode-equivalence test pinning virtual vs live field
-// by field.
+// tableMatch is pfdev's merged-decision-table scan without the
+// virtual cost charges: the table (snapshotted once per match) answers
+// which filters can accept, the shared index picks the ports to visit
+// and applies the governor as each is reached, and the scan stops at
+// the first non-copy-all accept.  Per-port accounting (instrs, fuel,
+// FilterEval traces, edge shares) is pfdev's, which is what keeps the
+// mode-equivalence test pinning virtual vs live field by field.
 func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 	now := d.clk.Now()
-	gov := d.opt.Gov.Enabled
 	d.scanQuarSkip = false
-	if d.table == nil {
-		d.rebuildTable()
-	}
-	tbl := d.table // this match's immutable snapshot
-	slots, tree, edges := tbl.Candidates(frame)
-	d.matchSeq++
-	for _, slot := range slots[:tree] {
-		d.slotPort[slot].treeHit = d.matchSeq
-	}
-	visit := d.ports
-	if !gov {
-		visit = d.scanSet(slots)
-	}
+	tbl, visit, edges := d.idx.BeginMatch(frame)
 
 	accepted, treeAccepts := dst, d.treeScratch[:0]
 	for _, port := range visit {
-		d.scanVisits++
-		if port.closed || port.prog == nil {
+		quar, accept, ran, instrs := d.idx.Reach(port, &port.Binding, tbl, frame, now)
+		if quar {
+			d.scanQuarSkip = true
 			continue
 		}
-		slot := port.slot
-		if gov {
-			if !port.govAdmit(now, &d.opt.Gov) {
-				d.scanQuarSkip = true
-				if port.tableActive {
-					port.tableActive = false
-					d.tableRemovePort(port)
-				}
-				continue
-			}
-			if !port.tableActive {
-				port.tableActive = true
-				d.tableInsertPort(port)
-			}
-		}
-
-		var accept bool
-		ran := false
-		instrs := 0
-		switch {
-		case slot >= 0:
-			if fp := tbl.Fallback(slot); fp != nil {
-				r := fp.Run(frame)
-				accept, instrs, ran = r.Accept, r.Instrs, true
-			} else {
-				accept = port.treeHit == d.matchSeq
-			}
-		case port.fp != nil:
-			r := port.fp.Run(frame)
-			accept, instrs, ran = r.Accept, r.Instrs, true
-		}
 		if ran {
-			port.instrs += uint64(instrs)
-			if gov {
-				port.govCharge(instrs)
-			}
 			if d.tr != nil {
 				d.tr.FilterEval(now, d.name, port.id, instrs, accept)
 			}
@@ -586,7 +426,6 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 		if !accept {
 			continue
 		}
-		port.matches++
 		accepted = append(accepted, port)
 		if !port.copyAll {
 			break
@@ -602,10 +441,7 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 			if k < extra {
 				in++
 			}
-			port.instrs += uint64(in)
-			if gov {
-				port.govCharge(in)
-			}
+			port.Charge(in)
 			if d.tr != nil {
 				d.tr.FilterEval(now, d.name, port.id, in, true)
 			}
@@ -619,138 +455,12 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
 	return accepted
 }
 
-// scanSet maps a match's candidate slots to their ports in scan order
-// (rank = position in d.ports).  With the governor off these are the
-// only ports whose visit has any effect, so the scan costs O(accepts +
-// fallbacks) instead of O(ports).
-func (d *Device) scanSet(slots []int) []*Port {
-	set := d.scanScratch[:0]
-	for _, slot := range slots {
-		set = append(set, d.slotPort[slot])
-	}
-	if d.rankDirty {
-		for i, port := range d.ports {
-			port.rank = i
-		}
-		d.rankDirty = false
-	}
-	slices.SortFunc(set, func(a, b *Port) int { return a.rank - b.rank })
-	d.scanScratch = set[:0]
-	return set
-}
-
-// rebuildTable compiles the full filter set from scratch — the cold
-// path, as in pfdev.
-func (d *Device) rebuildTable() {
-	var filters []filter.Filter
-	gov := d.opt.Gov.Enabled
-	for _, port := range d.ports {
-		port.slot = -1
-	}
-	var included []*Port
-	for _, port := range d.ports {
-		if port.closed || port.prog == nil || (gov && !port.tableActive) {
-			continue
-		}
-		filters = append(filters, filter.Filter{Priority: port.priority, Program: port.prog})
-		included = append(included, port)
-	}
-	d.table = filter.BuildTable(filters)
-	for i, port := range included {
-		port.slot = i
-	}
-	d.slotPort = included
-	d.tableBuilds++
-	d.tableWork += uint64(d.table.Work())
-}
-
-// tableInsertPort patches the port's filter into the published table,
-// mirroring pfdev.
-func (d *Device) tableInsertPort(port *Port) {
-	if d.opt.Mode != pfdev.EvalTable || port.closed || port.prog == nil {
-		return
-	}
-	if d.opt.FullRebuild {
-		d.table = nil
-		return
-	}
-	if d.table == nil {
-		d.rebuildTable()
-		return
-	}
-	before := d.table.Work()
-	nt, slot := d.table.Insert(filter.Filter{Priority: port.priority, Program: port.prog})
-	d.table = nt
-	port.slot = slot
-	if slot == len(d.slotPort) {
-		d.slotPort = append(d.slotPort, port)
-	} else {
-		d.slotPort[slot] = port
-	}
-	d.tablePatches++
-	d.tableWork += uint64(nt.Work() - before)
-}
-
-// tableRemovePort patches the port's filter out of the published
-// table, mirroring pfdev.
-func (d *Device) tableRemovePort(port *Port) {
-	if d.opt.Mode != pfdev.EvalTable {
-		return
-	}
-	if d.opt.FullRebuild {
-		d.table = nil
-		port.slot = -1
-		return
-	}
-	if d.table == nil || port.slot < 0 {
-		return
-	}
-	before := d.table.Work()
-	d.table = d.table.Remove(port.slot)
-	d.slotPort[port.slot] = nil
-	port.slot = -1
-	d.tablePatches++
-	d.tableWork += uint64(d.table.Work() - before)
-}
-
-// TableWork returns the cumulative decision-table construction work in
-// deterministic filter.Table.Work units.
-func (d *Device) TableWork() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tableWork
-}
-
 // TableMaint reports the table-maintenance counters: from-scratch
 // builds and incremental patches.
 func (d *Device) TableMaint() (builds, patches uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.tableBuilds, d.tablePatches
-}
-
-// sortPorts re-sorts priority descending, stable within priorities.
-// The v2 table is scan-order-free, so sorting leaves it untouched.
-func (d *Device) sortPorts() {
-	d.rankDirty = true
-	for i := 1; i < len(d.ports); i++ {
-		for j := i; j > 0 && d.ports[j-1].priority < d.ports[j].priority; j-- {
-			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
-		}
-	}
-}
-
-// reorder moves busier filters earlier within each equal-priority
-// group (§3.2), identically to pfdev; the published table survives.
-func (d *Device) reorder() {
-	for i := 1; i < len(d.ports); i++ {
-		for j := i; j > 0 &&
-			d.ports[j-1].priority == d.ports[j].priority &&
-			d.ports[j-1].matches < d.ports[j].matches; j-- {
-			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
-			d.rankDirty = true
-		}
-	}
+	return d.idx.TableBuilds, d.idx.TablePatches
 }
 
 // qlen returns the input-queue depth.
@@ -946,23 +656,16 @@ func (port *Port) statsLocked() pfdev.PortStats {
 	if port.qresN > 0 {
 		res = port.qresSum / time.Duration(port.qresN)
 	}
-	return pfdev.PortStats{
-		ID:           port.id,
-		Priority:     port.priority,
-		Queued:       port.qlen(),
-		MaxQueued:    port.maxQueued,
-		Dropped:      port.dropped,
-		Matched:      port.matches,
-		FilterInstrs: port.instrs,
-		Reads:        port.reads,
-		BatchReads:   port.batches,
-		BatchPackets: port.batched,
-
-		FuelSpent:       port.fuelSpent,
-		Quarantines:     port.quarantines,
-		QuarantineSkips: port.quarSkips,
-		AvgResidency:    res,
-	}
+	ps := port.FilterStats()
+	ps.ID = port.id
+	ps.Queued = port.qlen()
+	ps.MaxQueued = port.maxQueued
+	ps.Dropped = port.dropped
+	ps.Reads = port.reads
+	ps.BatchReads = port.batches
+	ps.BatchPackets = port.batched
+	ps.AvgResidency = res
+	return ps
 }
 
 // Close releases the port; blocked readers fail with ErrClosed and
@@ -988,27 +691,21 @@ func (port *Port) closeLocked() {
 	port.queue = nil
 	port.qhead = 0
 	port.readers.Broadcast()
-	for i, q := range d.ports {
-		if q == port {
-			d.ports = append(d.ports[:i], d.ports[i+1:]...)
-			d.rankDirty = true
-			break
-		}
-	}
 	delete(d.byID, port.id)
-	d.tableRemovePort(port)
+	d.idx.DropPort(&port.Binding)
 }
 
 // PortStats returns the statistics blocks of every open port in id
 // order.
 func (d *Device) PortStats() []pfdev.PortStats {
 	d.mu.Lock()
-	stats := make([]pfdev.PortStats, 0, len(d.ports))
-	for _, port := range d.ports {
+	ports := d.idx.Ports()
+	stats := make([]pfdev.PortStats, 0, len(ports))
+	for _, port := range ports {
 		stats = append(stats, port.statsLocked())
 	}
 	d.mu.Unlock()
-	// d.ports is in scan order; sort the snapshot with the packet path
+	// The ports are in scan order; sort the snapshot with the packet path
 	// unlocked.
 	slices.SortFunc(stats, func(a, b pfdev.PortStats) int { return a.ID - b.ID })
 	return stats
@@ -1018,17 +715,7 @@ func (d *Device) PortStats() []pfdev.PortStats {
 func (d *Device) GovStats() pfdev.GovStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	gs := pfdev.GovStats{
-		Shedding:       d.shedding,
-		Backlog:        d.backlog(),
-		AdmissionSheds: d.admissionSheds,
-	}
-	for _, port := range d.ports {
-		gs.Quarantines += port.quarantines
-		gs.QuarantineSkips += port.quarSkips
-		gs.FuelSpent += port.fuelSpent
-	}
-	return gs
+	return d.idx.GovReport(&d.adm, d.backlog())
 }
 
 // Counts is the device-level receive accounting.
@@ -1071,8 +758,8 @@ func (d *Device) Close() {
 		return
 	}
 	d.closed = true
-	for len(d.ports) > 0 {
-		d.ports[0].closeLocked()
+	for len(d.idx.Ports()) > 0 {
+		d.idx.Ports()[0].closeLocked()
 	}
 	d.mu.Unlock()
 	d.stopQueues()

@@ -204,7 +204,7 @@ func TestModeEquivalence(t *testing.T) {
 	for i := range sockets {
 		sockets[i] = uint32(0x100 + i)
 	}
-	for _, mode := range []pfdev.EvalMode{pfdev.EvalChecked, pfdev.EvalTable} {
+	for _, mode := range []pfdev.EvalMode{pfdev.EvalChecked, pfdev.EvalFast, pfdev.EvalCompiled, pfdev.EvalTable} {
 		for _, monitor := range []bool{false, true} {
 			name := fmt.Sprintf("mode=%d/monitor=%v", mode, monitor)
 			t.Run(name, func(t *testing.T) {

@@ -5,5 +5,5 @@ package live
 func (d *Device) ScanVisits() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.scanVisits
+	return d.idx.ScanVisits()
 }

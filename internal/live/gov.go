@@ -1,19 +1,17 @@
 package live
 
-// The live device runs the identical resource governor as the
-// simulated one (pfdev/gov.go): per-port token buckets priced by
-// pfdev.GovBound, doubling-backoff quarantine, and high/low watermark
-// admission control — but clocked by wall time, so Rate is instruction
-// units per real second and quarantine windows are real durations.
-// The algorithms are mirrored line for line; only the time source and
-// the backlog definition differ (the live device has no virtual
-// pending-delivery queue, so backlog is just the queued total).
+// The live device runs pfdev's resource governor itself, not a copy:
+// each port's token bucket and doubling-backoff quarantine is the
+// pfdev.PortGov inside its pfdev.Binding, priced by the same bind-time
+// bound, and admission control is a pfdev.Admission.  Both take the
+// caller's clock reading, so here Rate is instruction units per wall
+// second and quarantine windows are real durations.  What stays in this
+// file is what genuinely differs: the backlog signal (the live device
+// has no virtual pending-delivery queue) and the shed accounting.
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/pfdev"
 	"repro/internal/trace"
 )
 
@@ -25,79 +23,13 @@ func depthGaugeName(port int) string {
 	return fmt.Sprintf("pf.port%d.depth", port)
 }
 
-// govRefillNow lazily accrues tokens for the elapsed wall time.
-func (port *Port) govRefillNow(now time.Duration, cfg *pfdev.GovConfig) {
-	if now > port.govRefill {
-		port.govTokens += cfg.Rate * (now - port.govRefill).Seconds()
-		if b := float64(cfg.Burst); port.govTokens > b {
-			port.govTokens = b
-		}
-		port.govRefill = now
-	}
-}
-
-// govAdmit decides whether this port's filter may run against the
-// current frame.
-func (port *Port) govAdmit(now time.Duration, cfg *pfdev.GovConfig) bool {
-	port.govRefillNow(now, cfg)
-	if now < port.quarUntil {
-		port.quarSkips++
-		return false
-	}
-	if port.govTokens < float64(port.govBound) {
-		port.govQuarantine(now, cfg)
-		port.quarSkips++
-		return false
-	}
-	return true
-}
-
-// govQuarantine starts (or extends) the port's penalty window.
-func (port *Port) govQuarantine(now time.Duration, cfg *pfdev.GovConfig) {
-	if port.quarPenalty == 0 || now-port.quarUntil > cfg.QuarantineCool {
-		port.quarPenalty = cfg.QuarantineBase
-	} else {
-		port.quarPenalty *= 2
-		if port.quarPenalty > cfg.QuarantineMax {
-			port.quarPenalty = cfg.QuarantineMax
-		}
-	}
-	port.quarUntil = now + port.quarPenalty
-	port.quarantines++
-}
-
-// govCharge debits an admitted evaluation's actual cost.
-func (port *Port) govCharge(units int) {
-	port.govTokens -= float64(units)
-	port.fuelSpent += uint64(units)
-}
-
 // backlog is the admission controller's load signal.  The live device
 // enqueues synchronously (no deferred "pf" CPU charge), so the backlog
 // is exactly the queued total.
 func (d *Device) backlog() int { return d.queuedTotal }
 
-// admitFrame updates the shed/accept hysteresis and reports whether a
-// newly arrived frame may enter the demultiplexer.
-func (d *Device) admitFrame() bool {
-	g := &d.opt.Gov
-	if !g.Enabled {
-		return true
-	}
-	backlog := d.backlog()
-	if d.shedding {
-		if backlog <= g.AdmissionLow {
-			d.shedding = false
-		}
-	} else if backlog >= g.AdmissionHigh {
-		d.shedding = true
-	}
-	return !d.shedding
-}
-
 // shedFrame accounts one frame refused at demux entry.
 func (d *Device) shedFrame(span uint64) {
-	d.admissionSheds++
 	d.kernelDrops++
 	now := d.clk.Now()
 	if d.tr != nil {

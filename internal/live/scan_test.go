@@ -143,7 +143,7 @@ func TestPortStatsIDOrderAfterReorder(t *testing.T) {
 		d.Input(pupFrame(t, link, scanBase+n-1)) // the last-opened port becomes the busiest
 	}
 	d.mu.Lock()
-	first, second := d.ports[0].id, d.ports[1].id
+	first, second := d.idx.Ports()[0].id, d.idx.Ports()[1].id
 	d.mu.Unlock()
 	if first != 2 || second != n-1 {
 		t.Fatalf("scan order starts %d, %d; want the priority-30 port 2 then the busy port %d", first, second, n-1)

@@ -16,7 +16,6 @@ package pfdev
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/ethersim"
@@ -144,47 +143,20 @@ type Device struct {
 	opt  Options
 	kern KernelProtocol
 
-	ports   []*Port // sorted: priority desc, busy-first within priority
+	// The scan order (ports), the published decision table and its
+	// scan index (index.go).
+	portIndex
 	nextID  int
 	pktSeen uint64
-
-	// table is the published merged evaluator (EvalTable mode).  It is
-	// immutable: open/close/setfilter/quarantine churn patches it with
-	// filter.Table.Insert/Remove and swaps the pointer, so a match pass
-	// that snapshotted the old pointer finishes on a consistent table
-	// while the new one is already published — the RCU discipline that
-	// keeps matching stall-free under churn.  nil means "no table
-	// built yet"; the next match builds one from scratch.
-	table *filter.Table
-
-	// Scan index: what lets a governor-off table match visit only the
-	// ports the table names instead of walking d.ports.  slotPort maps
-	// the published table's slots to their ports (valid whenever table
-	// is non-nil; patched with it).  Port.rank is the port's position
-	// in d.ports, renumbered lazily — one pass at the next match after
-	// sortPorts, reorder or a close sets rankDirty, never per packet.
-	// matchSeq stamps the ports the current match's tree walk accepted
-	// (Port.treeHit).  scanVisits counts ports the table scan reached
-	// (tests only).
-	slotPort   []*Port
-	rankDirty  bool
-	matchSeq   uint64
-	scanVisits uint64
 
 	// reorderPending defers a §3.2 busy-first reorder that came due in
 	// the middle of a coalesced burst to the burst boundary, so every
 	// frame within one burst observes a single scan order.
 	reorderPending bool
 
-	// Table-maintenance accounting (deterministic units from
-	// filter.Table.Work): TableBuilds counts from-scratch builds,
-	// TablePatches incremental insert/remove patches, and tableWork the
-	// cumulative construction work — the churn benchmark's
-	// "rebuild stall" metric.
-	TableBuilds  uint64
-	TablePatches uint64
-	tableWork    uint64
-	tableStall   time.Duration
+	// tableStall is the virtual time packets have waited on
+	// from-scratch table compiles on the match path.
+	tableStall time.Duration
 
 	// Burst bookkeeping: curBurst is non-zero while inputBurst is
 	// matching a coalesced burst, and per-port/table stamps record
@@ -210,22 +182,23 @@ type Device struct {
 	// callbacks one at a time even when lanes overlap in virtual time.
 	rx          []*rxCtx
 	treeScratch []*Port
-	scanScratch []*Port
 	wakeScratch []*Port
 
 	// Governor state (gov.go): queuedTotal tracks packets queued
 	// across all ports O(1); scanQuarSkip is set by a match pass that
 	// skipped at least one quarantined filter, so a resulting
 	// no-match drop is attributed DropQuota rather than DropNoMatch.
-	queuedTotal    int
-	shedding       bool
-	admissionSheds uint64
-	scanQuarSkip   bool
+	Admission
+	queuedTotal  int
+	scanQuarSkip bool
 
 	// KernelDrops counts packets that matched no filter or
 	// overflowed a port queue.
 	KernelDrops uint64
 }
+
+// portIndex is the device's table index over its ports.
+type portIndex = TableIndex[*Port]
 
 // rxCtx is one receive queue's demux context: the per-queue pending
 // delivery FIFO, burst bookkeeping, pre-bound completion callbacks,
@@ -266,6 +239,8 @@ func Attach(nic *ethersim.NIC, kern KernelProtocol, opt Options) *Device {
 		opt.Queues = 1
 	}
 	d := &Device{host: nic.Host(), nic: nic, opt: opt, kern: kern}
+	d.Setup(opt.Mode, opt.Extensions, filter.Env{HeaderWords: nic.Network().Link().HeaderWords()},
+		&d.opt.Gov, opt.FullRebuild)
 	nic.SetQueues(opt.Queues)
 	d.rx = make([]*rxCtx, opt.Queues)
 	for i := range d.rx {
@@ -304,8 +279,7 @@ func (d *Device) crash() {
 	tr := d.host.Sim().Tracer()
 	now := d.host.Clock().Now()
 	ports := d.ports
-	d.ports = nil
-	d.table = nil
+	d.ports, d.binds, d.table = nil, nil, nil
 	d.reorderPending = false
 	// Matched-but-undelivered frames die with the kernel: their "pf"
 	// completions were dropped from the host's interrupt and lane
@@ -442,7 +416,7 @@ func (rx *rxCtx) inputSpanned(frame []byte, span uint64) {
 	if d.claim(frame, span) {
 		return
 	}
-	if !d.admitFrame() {
+	if d.opt.Gov.Enabled && !d.Admit(d.backlog(), &d.opt.Gov) {
 		// Overload: shed at demux entry, before any filter cost.
 		d.shedFrame(span)
 		return
@@ -639,7 +613,7 @@ func (rx *rxCtx) inputBurst(frames [][]byte) {
 		if d.claim(frame, span) {
 			continue
 		}
-		if !d.admitFrame() {
+		if d.opt.Gov.Enabled && !d.Admit(d.backlog(), &d.opt.Gov) {
 			d.shedFrame(span)
 			continue
 		}
@@ -678,7 +652,7 @@ func (rx *rxCtx) inputBurst(frames [][]byte) {
 		// the burst matched against one scan order; apply it now, at
 		// the burst boundary.
 		d.reorderPending = false
-		d.reorder()
+		d.Reorder()
 	}
 	if nDel == 0 {
 		return
@@ -747,7 +721,7 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration)
 		if port.closed || port.prog == nil {
 			continue
 		}
-		if gov && !port.govAdmit(now, &d.opt.Gov) {
+		if gov && !port.Admit(now, &d.opt.Gov) {
 			// Quarantined: the filter is skipped outright — no setup
 			// cost, no instruction charges, no chance to match.
 			d.scanQuarSkip = true
@@ -763,14 +737,10 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration)
 			port.applyBurst = d.curBurst
 		}
 
-		accept, instrs := port.eval(frame)
+		accept, instrs := port.Eval(frame)
 		cost += time.Duration(instrs) * costs.FilterInstr
 		d.host.Counters.FilterInstrs += uint64(instrs)
 		d.host.Sim().Counters.FilterInstrs += uint64(instrs)
-		port.instrs += uint64(instrs)
-		if gov {
-			port.govCharge(instrs)
-		}
 		if tr != nil {
 			tr.FilterEval(now, d.host.Name(), port.id, instrs, accept)
 		}
@@ -778,7 +748,6 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration)
 		if !accept {
 			continue
 		}
-		port.matches++
 		d.host.Counters.PacketsMatched++
 		d.host.Sim().Counters.PacketsMatched++
 		accepted = append(accepted, port)
@@ -806,15 +775,11 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration)
 // device drives the scan in the same order as linearMatch — priority
 // descending, busy-first within a priority — stopping at the first
 // non-copy-all accept, exactly like the linear rule.  Scan order
-// therefore never lives inside the table, which is what lets reorder()
-// and sortPorts leave the table untouched.
-//
-// With the governor off only the table's candidates (tree accepts and
-// fallbacks) can be affected by the frame, so the scan ranges over just
-// those ports, rank-ordered (scanSet).  With it on, admission is
-// decided at the moment each port is reached — quarSkips, lazy refill,
-// quarantine entry and exit, table patches — so every port must be
-// reached and the scan ranges over d.ports.  One loop body serves both.
+// therefore never lives inside the table, which is what lets Reorder
+// and sortPort leave the table untouched.  BeginMatch picks the ports
+// to visit (only the candidates with the governor off, every port with
+// it on) and Reach applies the governor and answers for each visited
+// port; one loop body serves both.
 //
 // Virtual cost: one FilterApply for starting the walk (amortized over
 // a coalesced burst like the linear path's per-port setup) plus one
@@ -827,18 +792,12 @@ func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration)
 // tree-accepting ports (remainder to the first; port -1 only when the
 // walk's work benefited no reached port).
 //
-// Governor transitions patch the published table in place: a port
-// denied admission is removed (its filter becomes unreachable, like a
-// closed port's), and a forgiven port is re-inserted, with its
-// transition packet evaluated directly against its own flat code since
-// the already-snapshotted table cannot answer for it.  The snapshot
-// taken at the top of the match keeps this packet's view consistent
-// while the patched table is published for the next one.
+// The snapshot BeginMatch takes keeps this packet's view consistent
+// while governor transitions publish a patched table for the next one.
 func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) {
 	costs := d.host.Costs()
 	tr := d.host.Sim().Tracer()
 	now := d.host.Clock().Now()
-	gov := d.opt.Gov.Enabled
 	d.scanQuarSkip = false
 	var stall time.Duration
 	if d.table == nil {
@@ -852,70 +811,20 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 		stall = time.Duration(d.tableWork-w0) * costs.FilterInstr
 		d.tableStall += stall
 	}
-	tbl := d.table // this match's immutable snapshot
-	slots, tree, edges := tbl.Candidates(frame)
+	tbl, visit, edges := d.BeginMatch(frame)
 	total := edges
-	d.matchSeq++
-	for _, slot := range slots[:tree] {
-		d.slotPort[slot].treeHit = d.matchSeq
-	}
-	visit := d.ports
-	if !gov {
-		visit = d.scanSet(slots)
-	}
 
 	accepted, treeAccepts := dst, d.treeScratch[:0]
 	for _, port := range visit {
-		d.scanVisits++
-		if port.closed || port.prog == nil {
+		quar, accept, ran, instrs := d.Reach(port, &port.Binding, tbl, frame, now)
+		if quar {
+			// Quarantined: skipped outright, no setup cost, no
+			// instruction charges, no chance to match.
+			d.scanQuarSkip = true
 			continue
-		}
-		// The slot this port held in the snapshot, before any
-		// transition this scan performs on it (slots are stable under
-		// patching, so other ports' transitions cannot move it).
-		slot := port.slot
-		if gov {
-			if !port.govAdmit(now, &d.opt.Gov) {
-				// Quarantined: skipped outright, no setup cost, no
-				// instruction charges, no chance to match — and no
-				// longer reachable through the published table.
-				d.scanQuarSkip = true
-				if port.tableActive {
-					port.tableActive = false
-					d.tableRemovePort(port)
-				}
-				continue
-			}
-			if !port.tableActive {
-				// Forgiven: the filter re-enters dispatch.
-				port.tableActive = true
-				d.tableInsertPort(port)
-			}
-		}
-
-		var accept bool
-		ran := false // a flat-code run charged to this port
-		instrs := 0
-		switch {
-		case slot >= 0:
-			if fp := tbl.Fallback(slot); fp != nil {
-				r := fp.Run(frame)
-				accept, instrs, ran = r.Accept, r.Instrs, true
-			} else {
-				accept = port.treeHit == d.matchSeq
-			}
-		case port.fp != nil:
-			// Not in the snapshot (typically the quarantine-exit
-			// transition packet): the port's own flat code answers.
-			r := port.fp.Run(frame)
-			accept, instrs, ran = r.Accept, r.Instrs, true
 		}
 		if ran {
 			total += instrs
-			port.instrs += uint64(instrs)
-			if gov {
-				port.govCharge(instrs)
-			}
 			if tr != nil {
 				tr.FilterEval(now, d.host.Name(), port.id, instrs, accept)
 			}
@@ -925,7 +834,6 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 		if !accept {
 			continue
 		}
-		port.matches++
 		d.host.Counters.PacketsMatched++
 		d.host.Sim().Counters.PacketsMatched++
 		accepted = append(accepted, port)
@@ -945,10 +853,7 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 			if k < extra {
 				in++
 			}
-			port.instrs += uint64(in)
-			if gov {
-				port.govCharge(in)
-			}
+			port.Charge(in)
 			if tr != nil {
 				tr.FilterEval(now, d.host.Name(), port.id, in, true)
 			}
@@ -974,110 +879,6 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 	return accepted, cost
 }
 
-// scanSet maps a match's candidate slots to their ports in scan order
-// (rank = position in d.ports).  With the governor off these are the
-// only ports whose visit has any effect, so the scan costs O(accepts +
-// fallbacks) instead of O(ports).
-func (d *Device) scanSet(slots []int) []*Port {
-	set := d.scanScratch[:0]
-	for _, slot := range slots {
-		set = append(set, d.slotPort[slot])
-	}
-	if d.rankDirty {
-		for i, port := range d.ports {
-			port.rank = i
-		}
-		d.rankDirty = false
-	}
-	slices.SortFunc(set, func(a, b *Port) int { return a.rank - b.rank })
-	d.scanScratch = set[:0]
-	return set
-}
-
-// rebuildTable compiles the full filter set from scratch — the first
-// bind under incremental maintenance (at setfilter time), or any churn
-// under Options.FullRebuild (on the match path, as a stall).
-func (d *Device) rebuildTable() {
-	var filters []filter.Filter
-	gov := d.opt.Gov.Enabled
-	for _, port := range d.ports {
-		port.slot = -1
-	}
-	var included []*Port
-	for _, port := range d.ports {
-		if port.closed || port.prog == nil || (gov && !port.tableActive) {
-			continue
-		}
-		filters = append(filters, filter.Filter{Priority: port.priority, Program: port.prog})
-		included = append(included, port)
-	}
-	d.table = filter.BuildTable(filters)
-	for i, port := range included {
-		port.slot = i
-	}
-	d.slotPort = included
-	d.TableBuilds++
-	d.tableWork += uint64(d.table.Work())
-}
-
-// tableInsertPort patches the port's current filter into the published
-// table (or schedules a full rebuild under Options.FullRebuild).  The
-// first bind builds the table eagerly: under incremental maintenance
-// all construction happens at setfilter/close syscall time, so the
-// match path never compiles — the from-scratch-on-match path is the
-// FullRebuild baseline's alone.
-func (d *Device) tableInsertPort(port *Port) {
-	if d.opt.Mode != EvalTable || port.closed || port.prog == nil {
-		return
-	}
-	if d.opt.FullRebuild {
-		d.table = nil
-		return
-	}
-	if d.table == nil {
-		d.rebuildTable()
-		return
-	}
-	before := d.table.Work()
-	nt, slot := d.table.Insert(filter.Filter{Priority: port.priority, Program: port.prog})
-	d.table = nt
-	port.slot = slot
-	if slot == len(d.slotPort) {
-		d.slotPort = append(d.slotPort, port)
-	} else {
-		d.slotPort[slot] = port
-	}
-	d.TablePatches++
-	d.tableWork += uint64(nt.Work() - before)
-}
-
-// tableRemovePort patches the port's filter out of the published table
-// (or schedules a full rebuild under Options.FullRebuild).
-func (d *Device) tableRemovePort(port *Port) {
-	if d.opt.Mode != EvalTable {
-		return
-	}
-	if d.opt.FullRebuild {
-		d.table = nil
-		port.slot = -1
-		return
-	}
-	if d.table == nil || port.slot < 0 {
-		return
-	}
-	before := d.table.Work()
-	d.table = d.table.Remove(port.slot)
-	d.slotPort[port.slot] = nil
-	port.slot = -1
-	d.TablePatches++
-	d.tableWork += uint64(d.table.Work() - before)
-}
-
-// TableWork returns the cumulative decision-table construction work in
-// deterministic filter.Table.Work units — the churn benchmark's
-// maintenance-cost metric.
-func (d *Device) TableWork() uint64 { return d.tableWork }
-
 // TableStall returns the cumulative virtual time packets have spent
 // waiting on from-scratch table compiles on the match path.
 // Incremental maintenance patches at setfilter/close time, so after
@@ -1096,36 +897,7 @@ func (d *Device) maybeReorder() {
 		d.reorderPending = true
 		return
 	}
-	d.reorder()
-}
-
-// sortPorts re-sorts the port list: priority descending, preserving
-// the current relative order within equal priorities (which reorder()
-// adjusts by busyness).  The decision table is order-free in v2 — the
-// device scans d.ports itself — so sorting does not touch it.
-func (d *Device) sortPorts() {
-	d.rankDirty = true
-	// Insertion sort keeps it stable and the lists are short.
-	for i := 1; i < len(d.ports); i++ {
-		for j := i; j > 0 && d.ports[j-1].priority < d.ports[j].priority; j-- {
-			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
-		}
-	}
-}
-
-// reorder moves busier filters earlier within each equal-priority
-// group (§3.2).  Equal-priority ties are resolved by the device's own
-// scan in both evaluation modes, so the decision table stays valid
-// across reorders.
-func (d *Device) reorder() {
-	for i := 1; i < len(d.ports); i++ {
-		for j := i; j > 0 &&
-			d.ports[j-1].priority == d.ports[j].priority &&
-			d.ports[j-1].matches < d.ports[j].matches; j-- {
-			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
-			d.rankDirty = true
-		}
-	}
+	d.Reorder()
 }
 
 // Errors returned by port operations.

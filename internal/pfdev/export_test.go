@@ -1,5 +1,7 @@
 package pfdev
 
-// ScanVisits returns how many ports table-mode matches have reached so
-// far — the device-local counter behind the O(accepts) scan tests.
-func (d *Device) ScanVisits() uint64 { return d.scanVisits }
+import "time"
+
+// govAdmit is the governor's admission check under the name the
+// backoff tests use.
+func (g *PortGov) govAdmit(now time.Duration, cfg *GovConfig) bool { return g.Admit(now, cfg) }

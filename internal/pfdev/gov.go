@@ -7,8 +7,11 @@ package pfdev
 // binding a maximum-length filter still charges the kernel
 // MaxProgramLen instruction units for every packet on the wire, paid
 // by every other user of the interface.  The governor closes that hole
-// with three cooperating mechanisms, all in virtual time and all
-// strictly opt-in (the zero Options leave every path byte-identical):
+// with three cooperating mechanisms, all strictly opt-in (the zero
+// Options leave every path byte-identical).  Their state types,
+// PortGov and Admission, take the caller's clock reading, so this
+// device runs them in virtual time and package live runs the same code
+// on wall time:
 //
 //   - Per-port CPU token buckets.  Each port accrues instruction units
 //     at GovConfig.Rate up to Burst; a filter evaluation is admitted
@@ -52,8 +55,8 @@ type GovConfig struct {
 	Enabled bool
 	// Rate is the token refill rate in instruction units per virtual
 	// second.  One unit is one checked-interpreter step (the same unit
-	// eval() charges, so the faster §7 strategies cost proportionally
-	// less fuel too).
+	// Binding.Eval charges, so the faster §7 strategies cost
+	// proportionally less fuel too).
 	Rate float64
 	// Burst is the bucket capacity in instruction units.
 	Burst int
@@ -128,16 +131,8 @@ func (g GovConfig) withDefaults() GovConfig {
 	return g
 }
 
-// GovBound computes a filter's pre-admission price for the given
-// evaluation mode — the bucket balance a port must hold before its
-// filter may run.  Exported so the live-mode device prices filters
-// identically to the simulated one.
-func GovBound(mode EvalMode, p filter.Program, opt filter.ValidateOptions) int {
-	return govBoundFor(mode, p, opt)
-}
-
 // govBoundFor computes a filter's pre-admission price: its static
-// worst-case cost in the same scaled units eval() charges for the
+// worst-case cost in the same scaled units Binding.Eval charges for the
 // given mode.  A program the checked interpreter would accept despite
 // failing validation (EvalChecked binds anything) is priced at its
 // full length, a sound upper bound on executed words.
@@ -156,29 +151,47 @@ func govBoundFor(mode EvalMode, p filter.Program, opt filter.ValidateOptions) in
 	}
 }
 
-// govRefillNow lazily accrues tokens for the elapsed virtual time.
-func (port *Port) govRefillNow(now time.Duration, cfg *GovConfig) {
-	if now > port.govRefill {
-		port.govTokens += cfg.Rate * (now - port.govRefill).Seconds()
-		if b := float64(cfg.Burst); port.govTokens > b {
-			port.govTokens = b
+// PortGov is one port's governor state: the CPU token bucket, in
+// instruction units, refilled lazily at govRefill, and the
+// doubling-backoff quarantine window.  govBound is the bound filter's
+// scaled worst-case price, checked against the bucket before each
+// evaluation.  The type is clock-agnostic — every call takes the
+// caller's now — so the simulated device runs it on virtual time and
+// package live runs the same code on wall time.
+type PortGov struct {
+	govTokens   float64
+	govRefill   time.Duration
+	govBound    int
+	quarUntil   time.Duration
+	quarPenalty time.Duration
+	fuelSpent   uint64 // instruction units charged against the bucket
+	quarantines uint64 // times the port entered quarantine
+	quarSkips   uint64 // filter evaluations skipped while quarantined
+}
+
+// govRefillNow lazily accrues tokens for the elapsed time.
+func (g *PortGov) govRefillNow(now time.Duration, cfg *GovConfig) {
+	if now > g.govRefill {
+		g.govTokens += cfg.Rate * (now - g.govRefill).Seconds()
+		if b := float64(cfg.Burst); g.govTokens > b {
+			g.govTokens = b
 		}
-		port.govRefill = now
+		g.govRefill = now
 	}
 }
 
-// govAdmit decides whether this port's filter may run against the
-// current frame.  A port in its penalty window, or whose bucket cannot
-// cover the filter's worst case (which quarantines it), is skipped.
-func (port *Port) govAdmit(now time.Duration, cfg *GovConfig) bool {
-	port.govRefillNow(now, cfg)
-	if now < port.quarUntil {
-		port.quarSkips++
+// Admit decides whether this port's filter may run against the current
+// frame.  A port in its penalty window, or whose bucket cannot cover
+// the filter's worst case (which quarantines it), is skipped.
+func (g *PortGov) Admit(now time.Duration, cfg *GovConfig) bool {
+	g.govRefillNow(now, cfg)
+	if now < g.quarUntil {
+		g.quarSkips++
 		return false
 	}
-	if port.govTokens < float64(port.govBound) {
-		port.govQuarantine(now, cfg)
-		port.quarSkips++
+	if g.govTokens < float64(g.govBound) {
+		g.govQuarantine(now, cfg)
+		g.quarSkips++
 		return false
 	}
 	return true
@@ -187,26 +200,41 @@ func (port *Port) govAdmit(now time.Duration, cfg *GovConfig) bool {
 // govQuarantine starts (or extends) the port's penalty window: prompt
 // re-offense after the previous window doubles the penalty, good
 // standing for QuarantineCool earns a fresh start at the base.
-func (port *Port) govQuarantine(now time.Duration, cfg *GovConfig) {
-	if port.quarPenalty == 0 || now-port.quarUntil > cfg.QuarantineCool {
-		port.quarPenalty = cfg.QuarantineBase
+func (g *PortGov) govQuarantine(now time.Duration, cfg *GovConfig) {
+	if g.quarPenalty == 0 || now-g.quarUntil > cfg.QuarantineCool {
+		g.quarPenalty = cfg.QuarantineBase
 	} else {
-		port.quarPenalty *= 2
-		if port.quarPenalty > cfg.QuarantineMax {
-			port.quarPenalty = cfg.QuarantineMax
+		g.quarPenalty *= 2
+		if g.quarPenalty > cfg.QuarantineMax {
+			g.quarPenalty = cfg.QuarantineMax
 		}
 	}
-	port.quarUntil = now + port.quarPenalty
-	port.quarantines++
+	g.quarUntil = now + g.quarPenalty
+	g.quarantines++
 }
 
-// govCharge debits an admitted evaluation's actual cost.  In linear
-// modes the charge never exceeds the pre-admitted bound; in table mode
-// a port's attributed share of a deep shared walk may briefly drive
-// the bucket negative, which simply delays its re-admission.
-func (port *Port) govCharge(units int) {
-	port.govTokens -= float64(units)
-	port.fuelSpent += uint64(units)
+// Admission is the overload controller's state: high/low watermark
+// hysteresis over a backlog each device measures its own way.
+type Admission struct {
+	shedding       bool
+	admissionSheds uint64
+}
+
+// Admit updates the shed/accept hysteresis for the current backlog and
+// reports whether a newly arrived frame may enter the demultiplexer;
+// a refused frame is counted as shed.
+func (a *Admission) Admit(backlog int, cfg *GovConfig) bool {
+	if a.shedding {
+		if backlog <= cfg.AdmissionLow {
+			a.shedding = false
+		}
+	} else if backlog >= cfg.AdmissionHigh {
+		a.shedding = true
+	}
+	if a.shedding {
+		a.admissionSheds++
+	}
+	return !a.shedding
 }
 
 // backlog is the admission controller's load signal: packets queued on
@@ -220,27 +248,8 @@ func (d *Device) backlog() int {
 	return n
 }
 
-// admitFrame updates the shed/accept hysteresis and reports whether a
-// newly arrived frame may enter the demultiplexer.
-func (d *Device) admitFrame() bool {
-	g := &d.opt.Gov
-	if !g.Enabled {
-		return true
-	}
-	backlog := d.backlog()
-	if d.shedding {
-		if backlog <= g.AdmissionLow {
-			d.shedding = false
-		}
-	} else if backlog >= g.AdmissionHigh {
-		d.shedding = true
-	}
-	return !d.shedding
-}
-
 // shedFrame accounts one frame refused at demux entry.
 func (d *Device) shedFrame(span uint64) {
-	d.admissionSheds++
 	d.KernelDrops++
 	d.host.Counters.PacketsDropped++
 	d.host.Sim().Counters.PacketsDropped++
@@ -267,15 +276,21 @@ type GovStats struct {
 // charges an ioctl.  Ports already closed no longer contribute.
 func (d *Device) GovStats(p *sim.Proc) GovStats {
 	p.Syscall("pf")
+	return d.GovReport(&d.Admission, d.backlog())
+}
+
+// GovReport is the governor's device-wide report: adm's state at the
+// given backlog, and the buckets of the indexed ports summed.
+func (x *TableIndex[P]) GovReport(adm *Admission, backlog int) GovStats {
 	gs := GovStats{
-		Shedding:       d.shedding,
-		Backlog:        d.backlog(),
-		AdmissionSheds: d.admissionSheds,
+		Shedding:       adm.shedding,
+		Backlog:        backlog,
+		AdmissionSheds: adm.admissionSheds,
 	}
-	for _, port := range d.ports {
-		gs.Quarantines += port.quarantines
-		gs.QuarantineSkips += port.quarSkips
-		gs.FuelSpent += port.fuelSpent
+	for _, b := range x.binds {
+		gs.Quarantines += b.quarantines
+		gs.QuarantineSkips += b.quarSkips
+		gs.FuelSpent += b.fuelSpent
 	}
 	return gs
 }

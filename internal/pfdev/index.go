@@ -1,0 +1,493 @@
+package pfdev
+
+// The state the §3.2 demultiplexing rule keeps per port and per device,
+// shared by the simulated device and package live's wall-clock device:
+// Binding is one port's bound filter (compiled per evaluation mode, its
+// place in the scan order and the decision table, its counters and its
+// governor bucket), and TableIndex is the device's scan order plus the
+// published decision table with its slot→port scan index.  Each device
+// embeds these and keeps only its own clock, queues and match loops.
+
+import (
+	"slices"
+	"time"
+
+	"repro/internal/filter"
+)
+
+// bindCfg is the device-wide half of a binding: how filters are
+// validated, compiled and run, and whether the governor prices them.
+type bindCfg struct {
+	mode EvalMode
+	env  filter.Env
+	ext  bool
+	gov  bool
+}
+
+// Binding is one port's filter state.  Both devices' Port types embed
+// it.  The fields every linear-scan visit touches come first, so a
+// visit stays within a cache line or two of the port.
+type Binding struct {
+	prog    filter.Program
+	cfg     bindCfg
+	matches uint64 // packets accepted (for busy-first reordering)
+	instrs  uint64 // filter instruction units charged to this port
+
+	// slot is the port's stable slot in the published decision table,
+	// -1 while not resident (no filter bound, quarantined out, or the
+	// table not yet built).  rank and treeHit belong to the scan index;
+	// tableActive is the governor standing baked into the table.
+	slot        int
+	rank        int
+	treeHit     uint64
+	tableActive bool
+	priority    uint8
+	// fp is the table-mode flat compilation of prog: it evaluates a
+	// quarantine-exit transition packet (the port is admitted again
+	// before the re-inserted filter is visible in the match's table
+	// snapshot) with exactly the cost the table's own fallback path
+	// would charge.  nil when the program fails table-mode validation,
+	// in which case the filter matches nothing — same as in the table.
+	fp       *filter.FlatProg
+	pv       *filter.Prevalidated
+	compiled *filter.Compiled
+
+	PortGov
+}
+
+// compile does the bind-time work of the device's evaluation mode:
+// EvalFast validates the program, EvalCompiled compiles it, EvalTable
+// compiles the flat code for transition packets.
+func (b *Binding) compile(f filter.Filter) error {
+	opt := filter.ValidateOptions{Extensions: b.cfg.ext}
+	switch b.cfg.mode {
+	case EvalFast:
+		pv, err := filter.Prevalidate(f.Program, opt)
+		if err != nil {
+			return err
+		}
+		pv.SetEnv(b.cfg.env)
+		b.pv = pv
+	case EvalCompiled:
+		c, err := filter.Compile(f.Program, opt, b.cfg.env)
+		if err != nil {
+			return err
+		}
+		b.compiled = c
+	case EvalTable:
+		// The merged table validates on insert; a program that fails
+		// table-mode validation matches nothing rather than erroring.
+		b.fp, _ = filter.CompileFlat(f.Program, filter.ValidateOptions{}, filter.Env{})
+	default:
+		// The checked interpreter accepts anything and fails per
+		// packet, exactly like the original driver.
+	}
+	return nil
+}
+
+// Eval applies the port's filter to a frame in a linear scan, charges
+// the port its cost and counts an accept.  The cost unit is one
+// *checked* interpreter step; the faster §7 evaluation strategies
+// charge proportionally less: prevalidation removes the
+// per-instruction validity/bounds/stack checks (~40% of the inner
+// loop), and compiled filters skip instruction decode entirely (~1/3
+// the cost) — the ratios the real-time benchmarks in bench_test.go
+// measure.
+func (b *Binding) Eval(frame []byte) (accept bool, instrs int) {
+	switch b.cfg.mode {
+	case EvalFast:
+		r := b.pv.Run(frame)
+		accept, instrs = r.Accept, (r.Instrs*3+4)/5
+	case EvalCompiled:
+		accept, instrs = b.compiled.Run(frame), (b.compiled.Info().Instrs+2)/3
+	default:
+		var r filter.Result
+		if b.cfg.ext {
+			r = filter.RunExt(b.prog, frame, b.cfg.env)
+		} else {
+			r = filter.Run(b.prog, frame)
+		}
+		accept, instrs = r.Accept, r.Instrs
+	}
+	b.Charge(instrs)
+	if accept {
+		b.matches++
+	}
+	return accept, instrs
+}
+
+// Charge debits units of evaluation work to the port: its instruction
+// count always, and its token bucket when the governor is on.  In
+// linear modes the charge never exceeds the pre-admitted bound; in
+// table mode a port's attributed share of a deep shared walk may
+// briefly drive the bucket negative, which simply delays its
+// re-admission.
+func (b *Binding) Charge(units int) {
+	b.instrs += uint64(units)
+	if b.cfg.gov {
+		b.govTokens -= float64(units)
+		b.fuelSpent += uint64(units)
+	}
+}
+
+// Bound reports whether a filter is bound.
+func (b *Binding) Bound() bool { return b.prog != nil }
+
+// Matches returns how many packets this port's filter has accepted.
+func (b *Binding) Matches() uint64 { return b.matches }
+
+// Priority returns the bound filter's priority.
+func (b *Binding) Priority() uint8 { return b.priority }
+
+// FilterStats returns the statistics block with the fields the binding
+// owns filled in: priority, match and instruction counts, governor
+// accounting.  The device fills in the rest.
+func (b *Binding) FilterStats() PortStats {
+	return PortStats{
+		Priority:        b.priority,
+		Matched:         b.matches,
+		FilterInstrs:    b.instrs,
+		FuelSpent:       b.fuelSpent,
+		Quarantines:     b.quarantines,
+		QuarantineSkips: b.quarSkips,
+	}
+}
+
+// TableIndex is a device's scan order and decision-table state.  P is
+// the device's port handle; every port is kept next to its Binding, so
+// the index reaches port state without a call through P.
+//
+// table is the published merged evaluator (EvalTable mode).  It is
+// immutable: open/close/setfilter/quarantine churn patches it with
+// filter.Table.Insert/Remove and swaps the pointer, so a match pass
+// that snapshotted the old pointer finishes on a consistent table while
+// the new one is already published — the RCU discipline that keeps
+// matching stall-free under churn.  nil means "no table built yet"; the
+// next match builds one from scratch.
+//
+// The scan index is what lets a governor-off table match visit only the
+// ports the table names instead of walking every port.  slotPort maps
+// the published table's slots to their ports (valid whenever table is
+// non-nil; patched with it).  Binding.rank is the port's position in
+// the scan order, renumbered lazily — one pass at the next match after
+// a sort, reorder or close sets rankDirty, never per packet.  matchSeq
+// stamps the ports the current match's tree walk accepted
+// (Binding.treeHit).  scanVisits counts ports the table scan reached
+// (tests only).
+type TableIndex[P any] struct {
+	cfg bindCfg
+	gov *GovConfig
+	// full disables incremental maintenance: every churn event throws
+	// the table away and the next match rebuilds it from scratch — the
+	// exp-churn baseline (pfdev's Options.FullRebuild).
+	full bool
+
+	ports []P        // sorted: priority desc, busy-first within priority
+	binds []*Binding // binds[i] is ports[i]'s
+
+	table      *filter.Table
+	slotPort   []P
+	slotBind   []*Binding
+	rankDirty  bool
+	matchSeq   uint64
+	scanVisits uint64
+
+	slotScratch []int
+	scanScratch []P
+
+	// Table-maintenance accounting (deterministic units from
+	// filter.Table.Work): TableBuilds counts from-scratch builds,
+	// TablePatches incremental insert/remove patches, and tableWork the
+	// cumulative construction work — the churn benchmark's "rebuild
+	// stall" metric.
+	TableBuilds  uint64
+	TablePatches uint64
+	tableWork    uint64
+}
+
+// Setup configures the index before the first port opens: the
+// evaluation mode, the §7 extensions switch and filter environment, and
+// the governor (gov must stay valid for the index's lifetime).
+// fullRebuild selects the from-scratch-on-churn baseline.
+func (x *TableIndex[P]) Setup(mode EvalMode, ext bool, env filter.Env, gov *GovConfig, fullRebuild bool) {
+	x.cfg = bindCfg{mode: mode, env: env, ext: ext, gov: gov.Enabled}
+	x.gov = gov
+	x.full = fullRebuild
+}
+
+// AddPort appends a newly opened port to the scan order.  Its bucket
+// starts full at now; rebinding a filter deliberately does not refill
+// it, so a hostile port cannot launder its debt through SetFilter.
+func (x *TableIndex[P]) AddPort(p P, b *Binding, now time.Duration) {
+	b.cfg = x.cfg
+	b.slot = -1
+	b.tableActive = true
+	if x.cfg.gov {
+		b.govTokens = float64(x.gov.Burst)
+		b.govRefill = now
+	}
+	x.ports = append(x.ports, p)
+	x.binds = append(x.binds, b)
+	x.sortPort(len(x.binds) - 1)
+}
+
+// DropPort removes a closed port from the scan order and patches its
+// filter out of the published table.
+func (x *TableIndex[P]) DropPort(b *Binding) {
+	if i := slices.Index(x.binds, b); i >= 0 {
+		x.ports = slices.Delete(x.ports, i, i+1)
+		x.binds = slices.Delete(x.binds, i, i+1)
+		x.rankDirty = true
+	}
+	x.tableRemovePort(b)
+}
+
+// Ports returns the scan order (shared; do not modify).
+func (x *TableIndex[P]) Ports() []P { return x.ports }
+
+// Bind binds f to a port — "a new filter can be bound at any time, at
+// a cost comparable to that of receiving a packet" (§3).  The
+// evaluation mode's validation or compilation happens here, at bind
+// time, not per packet; on error the old filter stays bound.  Then the
+// old filter is patched out of the published table and the new one in
+// (a quarantined port stays out until forgiven, and so does a port no
+// longer open).
+func (x *TableIndex[P]) Bind(p P, b *Binding, f filter.Filter, open bool) error {
+	if err := b.compile(f); err != nil {
+		return err
+	}
+	x.tableRemovePort(b)
+	b.prog = f.Program.Clone()
+	b.priority = f.Priority
+	if x.cfg.gov {
+		b.govBound = govBoundFor(x.cfg.mode, b.prog, filter.ValidateOptions{Extensions: x.cfg.ext})
+	}
+	if i := slices.Index(x.binds, b); i >= 0 {
+		x.sortPort(i)
+	}
+	if open && (!x.cfg.gov || b.tableActive) {
+		x.tableInsertPort(p, b)
+	}
+	return nil
+}
+
+// BeginMatch starts a table-mode match on frame: it snapshots the
+// published table (building one if there is none), stamps the ports
+// the decision tree accepted, and returns the snapshot, the ports the
+// scan visits in scan order, and the tree walk's edge count.  With the
+// governor off only the table's candidates (tree accepts and
+// fallbacks) can be affected by the frame, so the scan visits just
+// those, at O(accepts + fallbacks) instead of O(ports).  With it on,
+// admission is decided at the moment each port is reached — quarSkips,
+// lazy refill, quarantine entry and exit, table patches — so every
+// port is visited.
+func (x *TableIndex[P]) BeginMatch(frame []byte) (tbl *filter.Table, visit []P, edges int) {
+	if x.table == nil {
+		x.rebuildTable()
+	}
+	tbl = x.table
+	slots, tree, edges := tbl.Candidates(frame)
+	x.matchSeq++
+	for _, slot := range slots[:tree] {
+		x.slotBind[slot].treeHit = x.matchSeq
+	}
+	if x.cfg.gov {
+		return tbl, x.ports, edges
+	}
+	return tbl, x.scanSet(slots), edges
+}
+
+// Reach is the table scan's step for one visited port p (bound b),
+// against the match's snapshot tbl.  It applies the governor at the
+// moment of reach: a port denied admission is patched out of the
+// published table (its filter becomes unreachable, like a closed
+// port's) and reported quar; a forgiven port is patched back in, its
+// transition packet evaluated against its own flat code since the
+// snapshot cannot answer for it.  Otherwise accept is the port's
+// verdict, counted as a match; ran reports a flat-code run of instrs
+// units, already charged to the port, as opposed to a decision-tree
+// accept, which the caller charges a share of the walk's edges.
+func (x *TableIndex[P]) Reach(p P, b *Binding, tbl *filter.Table, frame []byte, now time.Duration) (quar, accept, ran bool, instrs int) {
+	x.scanVisits++
+	if b.prog == nil {
+		return false, false, false, 0
+	}
+	// The slot this port held in the snapshot, before any transition
+	// this step performs on it (slots are stable under patching, so
+	// other ports' transitions cannot move it).
+	slot := b.slot
+	if x.cfg.gov {
+		if !b.Admit(now, x.gov) {
+			if b.tableActive {
+				b.tableActive = false
+				x.tableRemovePort(b)
+			}
+			return true, false, false, 0
+		}
+		if !b.tableActive {
+			b.tableActive = true
+			x.tableInsertPort(p, b)
+		}
+	}
+	fp := b.fp
+	if slot >= 0 {
+		if fp = tbl.Fallback(slot); fp == nil {
+			accept = b.treeHit == x.matchSeq
+		}
+	}
+	if fp != nil {
+		r := fp.Run(frame)
+		accept, instrs, ran = r.Accept, r.Instrs, true
+		b.Charge(instrs)
+	}
+	if accept {
+		b.matches++
+	}
+	return false, accept, ran, instrs
+}
+
+// scanSet maps a match's candidate slots to their ports in scan order.
+func (x *TableIndex[P]) scanSet(slots []int) []P {
+	if x.rankDirty {
+		for i, b := range x.binds {
+			b.rank = i
+		}
+		x.rankDirty = false
+	}
+	order := append(x.slotScratch[:0], slots...)
+	slices.SortFunc(order, func(a, b int) int { return x.slotBind[a].rank - x.slotBind[b].rank })
+	set := x.scanScratch[:0]
+	for _, slot := range order {
+		set = append(set, x.slotPort[slot])
+	}
+	x.slotScratch, x.scanScratch = order[:0], set[:0]
+	return set
+}
+
+// rebuildTable compiles the full filter set from scratch — the first
+// bind under incremental maintenance (at setfilter time), or any churn
+// under the full-rebuild baseline (on the match path, as a stall).
+func (x *TableIndex[P]) rebuildTable() {
+	var filters []filter.Filter
+	var ports []P
+	var binds []*Binding
+	for i, b := range x.binds {
+		b.slot = -1
+		if b.prog == nil || (x.cfg.gov && !b.tableActive) {
+			continue
+		}
+		filters = append(filters, filter.Filter{Priority: b.priority, Program: b.prog})
+		ports = append(ports, x.ports[i])
+		binds = append(binds, b)
+	}
+	x.table = filter.BuildTable(filters)
+	for i, b := range binds {
+		b.slot = i
+	}
+	x.slotPort, x.slotBind = ports, binds
+	x.TableBuilds++
+	x.tableWork += uint64(x.table.Work())
+}
+
+// tableInsertPort patches the port's current filter into the published
+// table (or schedules a full rebuild under the baseline).  The first
+// bind builds the table eagerly: under incremental maintenance all
+// construction happens at setfilter/close time, so the match path
+// never compiles — the from-scratch-on-match path is the full-rebuild
+// baseline's alone.
+func (x *TableIndex[P]) tableInsertPort(p P, b *Binding) {
+	if x.cfg.mode != EvalTable || b.prog == nil {
+		return
+	}
+	if x.full {
+		x.table = nil
+		return
+	}
+	if x.table == nil {
+		x.rebuildTable()
+		return
+	}
+	before := x.table.Work()
+	nt, slot := x.table.Insert(filter.Filter{Priority: b.priority, Program: b.prog})
+	x.table = nt
+	b.slot = slot
+	if slot == len(x.slotPort) {
+		x.slotPort = append(x.slotPort, p)
+		x.slotBind = append(x.slotBind, b)
+	} else {
+		x.slotPort[slot], x.slotBind[slot] = p, b
+	}
+	x.TablePatches++
+	x.tableWork += uint64(nt.Work() - before)
+}
+
+// tableRemovePort patches the port's filter out of the published table
+// (or schedules a full rebuild under the baseline).
+func (x *TableIndex[P]) tableRemovePort(b *Binding) {
+	if x.cfg.mode != EvalTable {
+		return
+	}
+	if x.full {
+		x.table = nil
+		b.slot = -1
+		return
+	}
+	if x.table == nil || b.slot < 0 {
+		return
+	}
+	before := x.table.Work()
+	x.table = x.table.Remove(b.slot)
+	var none P
+	x.slotPort[b.slot], x.slotBind[b.slot] = none, nil
+	b.slot = -1
+	x.TablePatches++
+	x.tableWork += uint64(x.table.Work() - before)
+}
+
+// TableWork returns the cumulative decision-table construction work in
+// deterministic filter.Table.Work units — the churn benchmark's
+// maintenance-cost metric.
+func (x *TableIndex[P]) TableWork() uint64 { return x.tableWork }
+
+// ScanVisits returns how many ports table-mode matches have reached so
+// far — the counter behind the O(accepts) scan tests.
+func (x *TableIndex[P]) ScanVisits() uint64 { return x.scanVisits }
+
+// sortPort moves the port at index i of the scan order to its place
+// after its priority changed.  The order is priority descending,
+// preserving the relative order within equal priorities (which Reorder
+// adjusts by busyness), and every other port is already in place, so
+// the port moves only past strictly lower priorities (promoted) or
+// strictly higher ones (demoted) — the stable insertion sort's result,
+// at the cost of the distance moved.  The decision table is order-free
+// — the device drives the scan itself — so sorting does not touch it.
+func (x *TableIndex[P]) sortPort(i int) {
+	x.rankDirty = true
+	for ; i > 0 && x.binds[i-1].priority < x.binds[i].priority; i-- {
+		x.swap(i-1, i)
+	}
+	for ; i+1 < len(x.binds) && x.binds[i+1].priority > x.binds[i].priority; i++ {
+		x.swap(i, i+1)
+	}
+}
+
+// Reorder moves busier filters earlier within each equal-priority
+// group (§3.2: "the interpreter may occasionally reorder such filters
+// to place the busier ones first").  Equal-priority ties are resolved
+// by the device's own scan in both evaluation modes, so the decision
+// table stays valid across reorders.
+func (x *TableIndex[P]) Reorder() {
+	for i := 1; i < len(x.binds); i++ {
+		for j := i; j > 0 &&
+			x.binds[j-1].priority == x.binds[j].priority &&
+			x.binds[j-1].matches < x.binds[j].matches; j-- {
+			x.swap(j-1, j)
+			x.rankDirty = true
+		}
+	}
+}
+
+func (x *TableIndex[P]) swap(i, j int) {
+	x.ports[i], x.ports[j] = x.ports[j], x.ports[i]
+	x.binds[i], x.binds[j] = x.binds[j], x.binds[i]
+}

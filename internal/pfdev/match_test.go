@@ -108,7 +108,7 @@ func TestReorderKeepsTableValid(t *testing.T) {
 	builds, patches, work := r.db.TableBuilds, r.db.TablePatches, r.db.TableWork()
 	pB.matches = 100
 	pA.matches = 1
-	r.db.reorder()
+	r.db.Reorder()
 	if r.db.table != prev {
 		t.Error("reorder replaced the decision table; scan order should not live in it")
 	}

@@ -49,24 +49,9 @@ type Port struct {
 	dev *Device
 	id  int
 
-	priority uint8
-	prog     filter.Program
-	pv       *filter.Prevalidated
-	compiled *filter.Compiled
-	// fp is the table-mode flat compilation of prog: it evaluates a
-	// quarantine-exit transition packet (the port is admitted again
-	// before the re-inserted filter is visible in the match's table
-	// snapshot) with exactly the cost the table's own fallback path
-	// would charge.  nil when the program fails table-mode validation,
-	// in which case the filter matches nothing — same as in the table.
-	fp *filter.FlatProg
-	// slot is the port's stable slot in the published decision table,
-	// -1 while not resident (no filter bound, quarantined out, or the
-	// table not yet built).  rank and treeHit belong to the device's
-	// scan index.
-	slot    int
-	rank    int
-	treeHit uint64
+	// Binding is the bound filter, its scan-index place, its match
+	// counters and its governor bucket (index.go, gov.go).
+	Binding
 
 	// queue is head-indexed: qhead marks the first undelivered packet
 	// and dequeues advance it instead of re-slicing, so the backing
@@ -84,8 +69,6 @@ type Port struct {
 	stamp    bool
 	closed   bool
 
-	matches uint64 // packets accepted (for busy-first reordering)
-	instrs  uint64 // filter instruction words interpreted for this port
 	reads   uint64 // successful Read calls
 	batches uint64 // successful ReadBatch calls
 	batched uint64 // packets returned by ReadBatch
@@ -101,22 +84,6 @@ type Port struct {
 	// queue charges the cross-queue XQDeliver penalty.  Unused on a
 	// single-queue device.
 	lastRxQ int
-
-	// Governor state (gov.go).  govTokens is the CPU token bucket in
-	// instruction units, refilled lazily at govRefill; govBound is the
-	// bound filter's scaled worst-case price, pre-admission checked
-	// against the bucket.  quarUntil/quarPenalty implement the
-	// doubling-backoff quarantine; tableActive mirrors the standing
-	// baked into the merged decision table.
-	govTokens   float64
-	govRefill   time.Duration
-	govBound    int
-	quarUntil   time.Duration
-	quarPenalty time.Duration
-	tableActive bool
-	fuelSpent   uint64 // instruction units charged against the bucket
-	quarantines uint64 // times the port entered quarantine
-	quarSkips   uint64 // filter evaluations skipped while quarantined
 
 	// Queue-residency accounting: total and count of time delivered
 	// packets spent on the input queue.
@@ -154,24 +121,14 @@ const DefaultQueueLimit = 32
 func (d *Device) Open(p *sim.Proc) *Port {
 	p.Syscall("pf")
 	port := &Port{
-		dev:         d,
-		id:          d.nextID,
-		queueLimit:  DefaultQueueLimit,
-		readers:     d.host.Sim().NewWaitQ(),
-		tableActive: true,
-		slot:        -1,
-		lastRxQ:     -1,
-	}
-	if g := d.opt.Gov; g.Enabled {
-		// The bucket starts full at open time — rebinding a filter
-		// deliberately does not refill it, so a hostile port cannot
-		// launder its debt through SetFilter.
-		port.govTokens = float64(g.Burst)
-		port.govRefill = d.host.Clock().Now()
+		dev:        d,
+		id:         d.nextID,
+		queueLimit: DefaultQueueLimit,
+		readers:    d.host.Sim().NewWaitQ(),
+		lastRxQ:    -1,
 	}
 	d.nextID++
-	d.ports = append(d.ports, port)
-	d.sortPorts()
+	d.AddPort(port, &port.Binding, d.host.Clock().Now())
 	return port
 }
 
@@ -197,76 +154,7 @@ func (port *Port) SetFilter(p *sim.Proc, f filter.Filter) error {
 		return ErrPriority
 	}
 
-	opt := filter.ValidateOptions{Extensions: port.dev.opt.Extensions}
-	switch port.dev.opt.Mode {
-	case EvalFast:
-		pv, err := filter.Prevalidate(f.Program, opt)
-		if err != nil {
-			return err
-		}
-		pv.SetEnv(filter.Env{HeaderWords: port.dev.nic.Network().Link().HeaderWords()})
-		port.pv = pv
-	case EvalCompiled:
-		c, err := filter.Compile(f.Program, opt,
-			filter.Env{HeaderWords: port.dev.nic.Network().Link().HeaderWords()})
-		if err != nil {
-			return err
-		}
-		port.compiled = c
-	case EvalTable:
-		// The merged table validates on insert; a program that fails
-		// table-mode validation matches nothing rather than erroring,
-		// exactly as before.  The flat compilation here answers for
-		// quarantine-exit transition packets.
-		if fp, err := filter.CompileFlat(f.Program, filter.ValidateOptions{}, filter.Env{}); err == nil {
-			port.fp = fp
-		} else {
-			port.fp = nil
-		}
-	default:
-		// The checked interpreter accepts anything and fails
-		// per packet, exactly like the original driver.
-	}
-	// Rebinding patches the old filter out of the published table and
-	// the new one in (a quarantined port stays out until forgiven).
-	port.dev.tableRemovePort(port)
-	port.prog = f.Program.Clone()
-	port.priority = f.Priority
-	if port.dev.opt.Gov.Enabled {
-		port.govBound = govBoundFor(port.dev.opt.Mode, port.prog, opt)
-	}
-	port.dev.sortPorts()
-	if !port.dev.opt.Gov.Enabled || port.tableActive {
-		port.dev.tableInsertPort(port)
-	}
-	return nil
-}
-
-// eval applies the port's filter to a frame, returning acceptance and
-// the virtual cost in instruction units.  The unit is one *checked*
-// interpreter step; the faster §7 evaluation strategies charge
-// proportionally less: prevalidation removes the per-instruction
-// validity/bounds/stack checks (~40% of the inner loop), and compiled
-// filters skip instruction decode entirely (~1/3 the cost) — the
-// ratios the real-time benchmarks in bench_test.go measure.
-func (port *Port) eval(frame []byte) (bool, int) {
-	switch port.dev.opt.Mode {
-	case EvalFast:
-		r := port.pv.Run(frame)
-		return r.Accept, (r.Instrs*3 + 4) / 5
-	case EvalCompiled:
-		ok := port.compiled.Run(frame)
-		return ok, (port.compiled.Info().Instrs + 2) / 3
-	default:
-		var r filter.Result
-		if port.dev.opt.Extensions {
-			r = filter.RunExt(port.prog, frame,
-				filter.Env{HeaderWords: port.dev.nic.Network().Link().HeaderWords()})
-		} else {
-			r = filter.Run(port.prog, frame)
-		}
-		return r.Accept, r.Instrs
-	}
+	return port.dev.Bind(port, &port.Binding, f, !port.closed)
 }
 
 // SetTimeout sets the blocking-read timeout: 0 blocks indefinitely, a
@@ -696,28 +584,21 @@ func (port *Port) Stats() PortStats {
 	if port.qresN > 0 {
 		res = port.qresSum / time.Duration(port.qresN)
 	}
-	return PortStats{
-		ID:           port.id,
-		Priority:     port.priority,
-		Queued:       port.qlen(),
-		MaxQueued:    port.maxQueued,
-		Dropped:      port.dropped,
-		Matched:      port.matches,
-		FilterInstrs: port.instrs,
-		Reads:        port.reads,
-		BatchReads:   port.batches,
-		BatchPackets: port.batched,
-		RingReaps:    port.reaps,
-		ReapPackets:  port.reaped,
-		BytesCopied:  port.bytesCopied,
-		BytesMapped:  port.bytesMapped,
-		DescErrors:   port.descErrors,
-
-		FuelSpent:       port.fuelSpent,
-		Quarantines:     port.quarantines,
-		QuarantineSkips: port.quarSkips,
-		AvgResidency:    res,
-	}
+	ps := port.FilterStats()
+	ps.ID = port.id
+	ps.Queued = port.qlen()
+	ps.MaxQueued = port.maxQueued
+	ps.Dropped = port.dropped
+	ps.Reads = port.reads
+	ps.BatchReads = port.batches
+	ps.BatchPackets = port.batched
+	ps.RingReaps = port.reaps
+	ps.ReapPackets = port.reaped
+	ps.BytesCopied = port.bytesCopied
+	ps.BytesMapped = port.bytesMapped
+	ps.DescErrors = port.descErrors
+	ps.AvgResidency = res
+	return ps
 }
 
 // PortStats returns the statistics blocks of every open port in port-id
@@ -733,14 +614,8 @@ func (d *Device) PortStats(p *sim.Proc) []PortStats {
 	return stats
 }
 
-// Matches returns how many packets this port's filter has accepted.
 // Host returns the host this port's device is attached to.
 func (port *Port) Host() *sim.Host { return port.dev.host }
-
-func (port *Port) Matches() uint64 { return port.matches }
-
-// Priority returns the bound filter's priority.
-func (port *Port) Priority() uint8 { return port.priority }
 
 // Close releases the port; blocked readers fail with ErrClosed.
 func (port *Port) Close(p *sim.Proc) {
@@ -758,14 +633,7 @@ func (port *Port) Close(p *sim.Proc) {
 	}
 	port.detachRing()
 	port.readers.WakeAll(port.dev.host)
-	for i, q := range port.dev.ports {
-		if q == port {
-			port.dev.ports = append(port.dev.ports[:i], port.dev.ports[i+1:]...)
-			port.dev.rankDirty = true
-			break
-		}
-	}
-	port.dev.tableRemovePort(port)
+	port.dev.DropPort(&port.Binding)
 }
 
 // Select blocks until one of the ports has a queued packet — or has
