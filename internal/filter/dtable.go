@@ -21,13 +21,20 @@ package filter
 // v2 makes the table maintainable under churn: filters occupy stable
 // slots, and Insert/Remove return a NEW table that shares every
 // untouched subtree with the old one (copy-on-write along the affected
-// path only).  A published table is immutable with respect to its
+// path only; the branch maps and the slot vector are paged, so the
+// bytes copied do not grow with the filter population either).  A
+// published table is immutable with respect to its
 // filter set, which is what lets the devices swap table pointers
 // atomically while in-flight matches finish on the old one.  The
 // cumulative construction work (nodes built or copied, programs
 // extracted or compiled) is tracked in deterministic units so the
 // churn benchmark can compare incremental maintenance against full
 // rebuilds without touching a wall clock.
+
+import (
+	"math/bits"
+	"slices"
+)
 
 // Cond is one equality condition: packet word Word must equal Value.
 type Cond struct {
@@ -210,14 +217,66 @@ const (
 	slotInert                    // invalid or contradictory: matches nothing
 )
 
-// slotState is the per-slot maintenance record: everything Remove
-// needs to patch a filter back out of the structure it was inserted
-// into.
+// slotState is the per-slot record: the filter's priority (the only
+// part of the Filter a match reads) and everything Remove needs to
+// patch the filter back out of the structure it was inserted into.
 type slotState struct {
-	kind     slotKind
-	conds    []Cond // tree slots: the extracted conjunction
-	minWords int
+	conds    []Cond    // tree slots: the extracted conjunction
 	fp       *FlatProg // fallback slots: the compiled program
+	minWords int
+	kind     slotKind
+	priority uint8
+}
+
+// slotPage is the slot vector's unit of copying: a patch copies the
+// one page holding the slot it changes.
+const slotPage = 64
+
+// slotVec is a persistent vector of slot records, slotPage records to
+// a page.  A published page is never written: with copies the page
+// directory and the one page it changes and shares every other page,
+// so a patch copies O(slots/slotPage) pointers and one page rather
+// than every record.
+type slotVec struct {
+	pages []*[slotPage]slotState
+	n     int
+}
+
+func newSlotVec(sts []slotState) slotVec {
+	v := slotVec{n: len(sts)}
+	for i := 0; i < len(sts); i += slotPage {
+		p := new([slotPage]slotState)
+		copy(p[:], sts[i:])
+		v.pages = append(v.pages, p)
+	}
+	return v
+}
+
+// at returns slot i's record, which the caller must not modify.
+func (v slotVec) at(i int) *slotState { return &v.pages[i/slotPage][i%slotPage] }
+
+// with returns a vector with slot i set to st; i may be v.n, which
+// appends.  v is untouched.
+func (v slotVec) with(i int, st slotState) slotVec {
+	pi := i / slotPage
+	pages := make([]*[slotPage]slotState, max(len(v.pages), pi+1))
+	copy(pages, v.pages)
+	p := new([slotPage]slotState)
+	if pi < len(v.pages) {
+		*p = *v.pages[pi]
+	}
+	p[i%slotPage] = st
+	pages[pi] = p
+	return slotVec{pages: pages, n: max(v.n, i+1)}
+}
+
+// freeSlot is one entry of the free-slot stack: dead slots available
+// for reuse, the most recently freed on top.  Entries are immutable,
+// so every table shares its predecessors' stack: Remove pushes a new
+// head and Insert pops by taking next.
+type freeSlot struct {
+	slot int
+	next *freeSlot
 }
 
 // Table is a merged evaluator for a set of filters.  Filters whose
@@ -226,13 +285,14 @@ type slotState struct {
 // applied linearly.  Filters that fail even validation match nothing.
 //
 // A Table's filter set is immutable: Insert and Remove return a new
-// Table sharing all untouched subtrees.  The per-match scratch buffers
-// are not shared between tables and make a single Table value safe
-// only for serialized matching (the devices guarantee this).
+// Table sharing all untouched subtrees, slot pages, the free-slot
+// stack and (unless the fallback set changed) the fallback list.  The
+// per-match scratch buffers are not shared between tables and make a
+// single Table value safe only for serialized matching (the devices
+// guarantee this).
 type Table struct {
-	filters []Filter    // by slot; dead slots have a nil Program
-	slots   []slotState // by slot
-	free    []int       // dead slots available for reuse
+	slots   slotVec
+	free    *freeSlot
 	root    *tnode
 	linear  []tlinear // fallback slots, ascending slot order
 	scratch []int
@@ -247,10 +307,154 @@ type tlinear struct {
 }
 
 type tnode struct {
-	word     int // packet word tested at this node; -1 for leaf-only
-	branches map[uint16]*tnode
-	wildcard *tnode    // entries that do not test this word
-	accepts  []taccept // filters fully satisfied at this node
+	word     int        // packet word tested at this node; -1 for leaf-only
+	branches *branchMap // nil when no entry tests this word
+	wildcard *tnode     // entries that do not test this word
+	accepts  []taccept  // filters fully satisfied at this node
+}
+
+// branchMap is a node's dispatch on the tested word's value, in two
+// 256-way levels: the value's high byte selects a page, its low byte
+// the child within it.  It is persistent — with and without return a
+// new map sharing every page they do not change — so a copy-on-write
+// path copies at most one level-1 array and one page (512 entries)
+// per node, however large the fanout.
+type branchMap struct {
+	hi sparse[*sparse[*tnode]]
+	n  int // logical fanout: values that have a child
+}
+
+// get returns v's child, or nil; m may be nil.
+func (m *branchMap) get(v uint16) *tnode {
+	if m == nil {
+		return nil
+	}
+	if lo := m.hi.get(uint8(v >> 8)); lo != nil {
+		return lo.get(uint8(v))
+	}
+	return nil
+}
+
+// fanout is the number of values with a child; m may be nil.
+func (m *branchMap) fanout() int {
+	if m == nil {
+		return 0
+	}
+	return m.n
+}
+
+// with returns a map with v's child set to c; m may be nil and is
+// untouched.
+func (m *branchMap) with(v uint16, c *tnode) *branchMap {
+	var nm branchMap
+	if m != nil {
+		nm = *m
+	}
+	var lo sparse[*tnode]
+	if p := nm.hi.get(uint8(v >> 8)); p != nil {
+		lo = *p
+	}
+	if !lo.has(uint8(v)) {
+		nm.n++
+	}
+	lo = lo.with(uint8(v), c)
+	nm.hi = nm.hi.with(uint8(v>>8), &lo)
+	return &nm
+}
+
+// without returns a map without v's child, or nil once none is left;
+// m is untouched.
+func (m *branchMap) without(v uint16) *branchMap {
+	p := m.hi.get(uint8(v >> 8))
+	if p == nil || !p.has(uint8(v)) {
+		return m
+	}
+	if m.n == 1 {
+		return nil
+	}
+	nm := *m
+	nm.n--
+	if lo := p.without(uint8(v)); len(lo.vals) > 0 {
+		nm.hi = nm.hi.with(uint8(v>>8), &lo)
+	} else {
+		nm.hi = nm.hi.without(uint8(v >> 8))
+	}
+	return &nm
+}
+
+// push adds a child for v, which must exceed every value already
+// present — buildNode's ascending fill of a map nothing shares yet.
+func (m *branchMap) push(v uint16, c *tnode) {
+	if !m.hi.has(uint8(v >> 8)) {
+		m.hi.push(uint8(v>>8), new(sparse[*tnode]))
+	}
+	m.hi.vals[len(m.hi.vals)-1].push(uint8(v), c)
+	m.n++
+}
+
+// each calls f on every child, in ascending value order.
+func (m *branchMap) each(f func(*tnode)) {
+	if m == nil {
+		return
+	}
+	for _, lo := range m.hi.vals {
+		for _, c := range lo.vals {
+			f(c)
+		}
+	}
+}
+
+// sparse is one 256-way level of a branchMap: a bitmap of the byte keys
+// present and their values in ascending key order, so a lookup is a
+// bit test and a popcount.  with and without build a fresh value array
+// and never write the one they were given, which other tables share.
+type sparse[T any] struct {
+	bits [4]uint64
+	vals []T
+}
+
+func (s *sparse[T]) has(k uint8) bool { return s.bits[k>>6]&(1<<(k&63)) != 0 }
+
+// rank is k's index in vals: the number of keys present below k.
+func (s *sparse[T]) rank(k uint8) int {
+	w := k >> 6
+	r := bits.OnesCount64(s.bits[w] & (1<<(k&63) - 1))
+	for _, b := range s.bits[:w] {
+		r += bits.OnesCount64(b)
+	}
+	return r
+}
+
+func (s *sparse[T]) get(k uint8) (v T) {
+	if s.has(k) {
+		v = s.vals[s.rank(k)]
+	}
+	return v
+}
+
+func (s sparse[T]) with(k uint8, v T) sparse[T] {
+	i := s.rank(k)
+	if s.has(k) {
+		s.vals = slices.Clone(s.vals)
+		s.vals[i] = v
+		return s
+	}
+	s.bits[k>>6] |= 1 << (k & 63)
+	s.vals = slices.Insert(slices.Clip(s.vals), i, v)
+	return s
+}
+
+func (s sparse[T]) without(k uint8) sparse[T] {
+	i := s.rank(k)
+	s.bits[k>>6] &^= 1 << (k & 63)
+	s.vals = slices.Concat(s.vals[:i], s.vals[i+1:])
+	return s
+}
+
+// push appends k, which must exceed every key present, in place.
+func (s *sparse[T]) push(k uint8, v T) {
+	s.bits[k>>6] |= 1 << (k & 63)
+	s.vals = append(s.vals, v)
 }
 
 // taccept records an accepting filter and the packet length its
@@ -272,10 +476,11 @@ type tentry struct {
 func workNode(fanout int) int { return 1 + fanout }
 
 // workClone is the deterministic cost of copy-on-write-copying an
-// existing node: the branch map is a straight pointer copy, an order
-// of magnitude cheaper per entry than constructing the branches, so a
-// patched path through a high-fanout node stays far cheaper than
-// rebuilding it.
+// existing node.  It counts logical branches, not the entries the
+// storage copies (a branchMap patch copies at most two pages): Work
+// feeds the simulator's rebuild stall and the exp-churn tables, which
+// are pinned and must not move with a storage layout, so a branch is
+// priced at 1/16 of constructing one whatever its representation.
 func workClone(fanout int) int { return 1 + fanout/16 }
 
 // workCompile is the deterministic cost of extracting/compiling one
@@ -286,12 +491,12 @@ const workCompile = 4
 // matches exactly the same (packet, filter) pairs as running every
 // program with Run.  Slot i holds filters[i].
 func BuildTable(filters []Filter) *Table {
-	t := &Table{filters: append([]Filter(nil), filters...)}
-	t.slots = make([]slotState, len(filters))
+	t := &Table{}
+	sts := make([]slotState, len(filters))
 	var entries []tentry
 	for i, f := range filters {
 		st := t.compileSlot(f)
-		t.slots[i] = st
+		sts[i] = st
 		switch st.kind {
 		case slotTree:
 			entries = append(entries, tentry{idx: i, minWords: st.minWords, conds: st.conds})
@@ -299,6 +504,7 @@ func BuildTable(filters []Filter) *Table {
 			t.linear = append(t.linear, tlinear{idx: i, fp: st.fp})
 		}
 	}
+	t.slots = newSlotVec(sts)
 	t.root = buildNode(entries, &t.work)
 	return t
 }
@@ -307,17 +513,15 @@ func BuildTable(filters []Filter) *Table {
 // work units.
 func (t *Table) compileSlot(f Filter) slotState {
 	t.work += workCompile
+	st := slotState{kind: slotInert, priority: f.Priority}
 	if ex, ok := Extract(f.Program); ok {
-		if contradictory(ex.Conds) {
-			return slotState{kind: slotInert}
+		if !contradictory(ex.Conds) {
+			st.kind, st.conds, st.minWords = slotTree, ex.Conds, ex.MinWords
 		}
-		return slotState{kind: slotTree, conds: ex.Conds, minWords: ex.MinWords}
-	}
-	fp, err := CompileFlat(f.Program, ValidateOptions{}, Env{})
-	if err != nil {
-		return slotState{kind: slotInert} // invalid program: matches nothing
-	}
-	return slotState{kind: slotFallback, fp: fp}
+	} else if fp, err := CompileFlat(f.Program, ValidateOptions{}, Env{}); err == nil {
+		st.kind, st.fp = slotFallback, fp
+	} // else invalid program: inert, matches nothing
+	return st
 }
 
 // buildNode recursively partitions entries by the most commonly tested
@@ -390,46 +594,34 @@ func buildNode(entries []tentry, wk *int) *tnode {
 	next:
 	}
 	if len(byValue) > 0 {
-		n.branches = make(map[uint16]*tnode, len(byValue))
-		for v, es := range byValue {
-			n.branches[v] = buildNode(es, wk)
+		vals := make([]uint16, 0, len(byValue))
+		for v := range byValue {
+			vals = append(vals, v)
+		}
+		slices.Sort(vals)
+		n.branches = new(branchMap)
+		for _, v := range vals {
+			n.branches.push(v, buildNode(byValue[v], wk))
 		}
 	}
 	n.wildcard = buildNode(wild, wk)
-	*wk += workNode(len(n.branches))
+	*wk += workNode(n.branches.fanout())
 	return n
 }
 
-// clone copies one node so its accepts and branch map can be modified
-// without touching the shared original.  Subtrees are shared.
+// clone copies one node so it can be patched without touching the
+// shared original.  Subtrees, the branch map and the accepts array are
+// shared: the patch replaces each with a fresh copy when it changes it.
 func (n *tnode) clone(wk *int) *tnode {
-	c := &tnode{word: n.word, wildcard: n.wildcard}
-	if len(n.accepts) > 0 {
-		c.accepts = append(make([]taccept, 0, len(n.accepts)), n.accepts...)
-	}
-	if n.branches != nil {
-		c.branches = make(map[uint16]*tnode, len(n.branches))
-		for v, b := range n.branches {
-			c.branches[v] = b
-		}
-	}
-	*wk += workClone(len(n.branches))
-	return c
+	c := *n
+	*wk += workClone(n.branches.fanout())
+	return &c
 }
 
-// shallowClone copies the slot bookkeeping so the new table can be
-// patched; the decision tree is shared until insert/remove copies the
-// affected path.
+// shallowClone starts a patched table: everything is shared until
+// insert/remove replaces what it changes.
 func (t *Table) shallowClone() *Table {
-	nt := &Table{
-		filters: append([]Filter(nil), t.filters...),
-		slots:   append([]slotState(nil), t.slots...),
-		free:    append([]int(nil), t.free...),
-		root:    t.root,
-		linear:  append([]tlinear(nil), t.linear...),
-		work:    t.work,
-	}
-	return nt
+	return &Table{slots: t.slots, free: t.free, root: t.root, linear: t.linear, work: t.work}
 }
 
 // Insert returns a new table containing f in a fresh slot, sharing
@@ -438,18 +630,12 @@ func (t *Table) shallowClone() *Table {
 // filter population.
 func (t *Table) Insert(f Filter) (*Table, int) {
 	nt := t.shallowClone()
-	var slot int
-	if n := len(nt.free); n > 0 {
-		slot = nt.free[n-1]
-		nt.free = nt.free[:n-1]
-		nt.filters[slot] = f
-	} else {
-		slot = len(nt.filters)
-		nt.filters = append(nt.filters, f)
-		nt.slots = append(nt.slots, slotState{})
+	slot := nt.slots.n
+	if nt.free != nil {
+		slot, nt.free = nt.free.slot, nt.free.next
 	}
 	st := nt.compileSlot(f)
-	nt.slots[slot] = st
+	nt.slots = nt.slots.with(slot, st)
 	switch st.kind {
 	case slotTree:
 		nt.root = insertEntry(nt.root, tentry{idx: slot, minWords: st.minWords, conds: st.conds}, &nt.work)
@@ -464,9 +650,7 @@ func (t *Table) Insert(f Filter) (*Table, int) {
 				break
 			}
 		}
-		nt.linear = append(nt.linear, tlinear{})
-		copy(nt.linear[at+1:], nt.linear[at:])
-		nt.linear[at] = tlinear{idx: slot, fp: st.fp}
+		nt.linear = slices.Insert(slices.Clip(nt.linear), at, tlinear{idx: slot, fp: st.fp})
 	}
 	return nt, slot
 }
@@ -479,7 +663,7 @@ func insertEntry(n *tnode, e tentry, wk *int) *tnode {
 	}
 	c := n.clone(wk)
 	if len(e.conds) == 0 {
-		c.accepts = append(c.accepts, taccept{idx: e.idx, minWords: e.minWords})
+		c.accepts = append(slices.Clip(c.accepts), taccept{idx: e.idx, minWords: e.minWords})
 		return c
 	}
 	if c.word < 0 {
@@ -503,10 +687,8 @@ func insertEntry(n *tnode, e tentry, wk *int) *tnode {
 		}
 	}
 	if tests {
-		if c.branches == nil {
-			c.branches = make(map[uint16]*tnode, 1)
-		}
-		c.branches[val] = insertEntry(c.branches[val], tentry{idx: e.idx, minWords: e.minWords, conds: remaining}, wk)
+		b := insertEntry(c.branches.get(val), tentry{idx: e.idx, minWords: e.minWords, conds: remaining}, wk)
+		c.branches = c.branches.with(val, b)
 	} else {
 		c.wildcard = insertEntry(c.wildcard, e, wk)
 	}
@@ -518,26 +700,23 @@ func insertEntry(n *tnode, e tentry, wk *int) *tnode {
 // slot is a no-op clone.
 func (t *Table) Remove(slot int) *Table {
 	nt := t.shallowClone()
-	if slot < 0 || slot >= len(nt.slots) {
+	if !t.Live(slot) {
 		return nt
 	}
-	st := nt.slots[slot]
+	st := nt.slots.at(slot)
 	switch st.kind {
 	case slotTree:
 		nt.root = removeEntry(nt.root, slot, st.conds, &nt.work)
 	case slotFallback:
 		for i, l := range nt.linear {
 			if l.idx == slot {
-				nt.linear = append(nt.linear[:i:i], nt.linear[i+1:]...)
+				nt.linear = slices.Concat(nt.linear[:i], nt.linear[i+1:])
 				break
 			}
 		}
-	case slotDead:
-		return nt
 	}
-	nt.filters[slot] = Filter{}
-	nt.slots[slot] = slotState{kind: slotDead}
-	nt.free = append(nt.free, slot)
+	nt.slots = nt.slots.with(slot, slotState{kind: slotDead})
+	nt.free = &freeSlot{slot: slot, next: nt.free}
 	return nt
 }
 
@@ -567,15 +746,11 @@ func removeEntry(n *tnode, slot int, conds []Cond, wk *int) *tnode {
 		}
 	}
 	if tests {
-		if b := c.branches[val]; b != nil {
-			nb := removeEntry(b, slot, remaining, wk)
-			if nb == nil {
-				delete(c.branches, val)
-				if len(c.branches) == 0 {
-					c.branches = nil
-				}
+		if b := c.branches.get(val); b != nil {
+			if nb := removeEntry(b, slot, remaining, wk); nb == nil {
+				c.branches = c.branches.without(val)
 			} else {
-				c.branches[val] = nb
+				c.branches = c.branches.with(val, nb)
 			}
 		}
 	} else {
@@ -586,27 +761,27 @@ func removeEntry(n *tnode, slot int, conds []Cond, wk *int) *tnode {
 
 // pruneNode drops a node that no longer holds or routes anything.
 func pruneNode(n *tnode) *tnode {
-	if len(n.accepts) == 0 && len(n.branches) == 0 && n.wildcard == nil {
+	if len(n.accepts) == 0 && n.branches == nil && n.wildcard == nil {
 		return nil
 	}
 	return n
 }
 
 // Slots returns the slot-array length (live and dead slots included).
-func (t *Table) Slots() int { return len(t.filters) }
+func (t *Table) Slots() int { return t.slots.n }
 
 // Live reports whether the slot currently holds a filter.
 func (t *Table) Live(slot int) bool {
-	return slot >= 0 && slot < len(t.slots) && t.slots[slot].kind != slotDead
+	return slot >= 0 && slot < t.slots.n && t.slots.at(slot).kind != slotDead
 }
 
 // Fallback returns the flat code evaluated linearly for the slot, or
 // nil if the slot is tree-resident, inert or dead.
 func (t *Table) Fallback(slot int) *FlatProg {
-	if slot < 0 || slot >= len(t.slots) {
+	if slot < 0 || slot >= t.slots.n {
 		return nil
 	}
-	return t.slots[slot].fp
+	return t.slots.at(slot).fp
 }
 
 // Work returns the cumulative deterministic construction work (nodes
@@ -682,7 +857,7 @@ func (t *Table) MatchStats(pkt []byte) MatchResult {
 	// path runs once per received packet.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0; j-- {
-			pp, pc := t.filters[out[j-1]].Priority, t.filters[out[j]].Priority
+			pp, pc := t.slots.at(out[j-1]).priority, t.slots.at(out[j]).priority
 			if pp > pc || (pp == pc && out[j-1] < out[j]) {
 				break
 			}
@@ -714,7 +889,7 @@ func (t *Table) walk(n *tnode, pkt []byte) {
 		t.edges++
 		if n.branches != nil {
 			if v, ok := PacketWord(pkt, n.word); ok {
-				if b := n.branches[v]; b != nil {
+				if b := n.branches.get(v); b != nil {
 					t.walk(b, pkt)
 				}
 			}

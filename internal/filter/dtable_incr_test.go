@@ -1,16 +1,24 @@
 package filter
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
 
+// churnSockets is the range the socket shape draws its low socket word
+// from: thousands of values, so the node that tests that word grows
+// past and shrinks below every page and bitmap-word boundary of its
+// branch map.
+const churnSockets = 3000
+
 // churnFilter draws a filter from the shapes the table cares about:
-// tree-compatible conjunctions, fallback programs, accept/reject-all,
-// and the occasional invalid program (which must match nothing).
+// tree-compatible conjunctions over a few values, socket filters over
+// thousands, fallback programs, accept/reject-all, and the occasional
+// invalid program (which must match nothing).
 func churnFilter(r *rand.Rand) Filter {
 	pri := uint8(r.Intn(4))
-	switch r.Intn(8) {
+	switch r.Intn(10) {
 	case 0:
 		return Filter{Program: NewBuilder().AcceptAll().MustProgram(), Priority: pri}
 	case 1:
@@ -20,6 +28,8 @@ func churnFilter(r *rand.Rand) Filter {
 			PushWord(8).PushLit(uint16(r.Intn(64))).Op(GT).MustProgram(), Priority: pri}
 	case 3: // invalid: stack underflow
 		return Filter{Program: Program{MkInstr(NOPUSH, AND)}, Priority: pri}
+	case 4, 5, 6: // socket shape: figure 3-9 over a wide value range
+		return DstSocketFilter(pri, uint32(r.Intn(2))<<16|uint32(r.Intn(churnSockets)))
 	default: // tree shape: 1-3 word equality conjunction
 		b := NewBuilder().WordEQ(1, PupEtherType)
 		n := 1 + r.Intn(2)
@@ -28,6 +38,36 @@ func churnFilter(r *rand.Rand) Filter {
 		}
 		return Filter{Program: b.MustProgram(), Priority: pri}
 	}
+}
+
+// churnPacket draws a packet, half the time a PUP frame whose socket
+// words take values churnFilter's tree shapes test.
+func churnPacket(r *rand.Rand) []byte {
+	b := make([]byte, 2*(2+r.Intn(10)))
+	r.Read(b)
+	if r.Intn(2) == 0 { // bias toward matchable PUP frames
+		b[2], b[3] = 0, byte(PupEtherType)
+		if len(b) >= 18 {
+			b[14], b[15] = 0, byte(r.Intn(4))
+			b[16], b[17] = 0, byte(r.Intn(4))
+		}
+	}
+	return b
+}
+
+// hitPacket returns the shortest zero-filled packet that satisfies f's
+// conjunction when f is tree-shaped, and nil otherwise: a packet drawn
+// at random almost never reaches one of thousands of socket values.
+func hitPacket(f Filter) []byte {
+	ex, ok := Extract(f.Program)
+	if !ok {
+		return nil
+	}
+	b := make([]byte, 2*ex.MinWords)
+	for _, c := range ex.Conds {
+		binary.BigEndian.PutUint16(b[2*c.Word:], c.Value)
+	}
+	return b
 }
 
 // TestTableIncremental drives a long random open/close churn through
@@ -43,27 +83,13 @@ func TestTableIncremental(t *testing.T) {
 	var ref []Filter
 	live := make(map[int]bool)
 
-	pkt := func() []byte {
-		b := make([]byte, 2*(2+r.Intn(10)))
-		r.Read(b)
-		if r.Intn(2) == 0 { // bias toward matchable PUP frames
-			b[2], b[3] = 0, byte(PupEtherType)
-			if len(b) >= 18 {
-				b[14], b[15] = 0, byte(r.Intn(4))
-				b[16], b[17] = 0, byte(r.Intn(4))
-			}
-		}
-		return b
-	}
-
-	check := func(step int) {
+	check := func(step int, p []byte) {
 		// The patched table must match identically to a from-scratch
 		// build over the same slot layout (dead slots modeled as
 		// invalid programs, which match nothing).  Tree SHAPE may
 		// differ — node word choices depend on build history — so
 		// Edges is not compared, only verdicts and fallback runs.
 		fresh := BuildTable(ref)
-		p := pkt()
 		got, want := tbl.MatchStats(p), fresh.MatchStats(p)
 		if len(got.Idxs) != len(want.Idxs) {
 			t.Fatalf("step %d: incremental %v != fresh %v", step, got.Idxs, want.Idxs)
@@ -103,7 +129,7 @@ func TestTableIncremental(t *testing.T) {
 		}
 	}
 
-	for step := 0; step < 600; step++ {
+	for step := 0; step < 1500; step++ {
 		if len(live) == 0 || r.Intn(3) > 0 {
 			f := churnFilter(r)
 			var slot int
@@ -119,19 +145,14 @@ func TestTableIncremental(t *testing.T) {
 			}
 			live[slot] = true
 		} else {
-			slots := make([]int, 0, len(live))
-			for s := range live {
-				slots = append(slots, s)
-			}
-			// map order is random but we need determinism for the
-			// pinned seed: pick the smallest of three draws.
+			// Map order is random; the pinned seed needs a
+			// deterministic pick, so remove the smallest live slot.
 			slot := len(ref)
 			for s := range live {
 				if s < slot {
 					slot = s
 				}
 			}
-			_ = slots
 			tbl = tbl.Remove(slot)
 			// A dead slot matches nothing; model it in the reference
 			// layout as an invalid program (Filter{} would be the
@@ -143,7 +164,12 @@ func TestTableIncremental(t *testing.T) {
 			}
 		}
 		if step%7 == 0 {
-			check(step)
+			check(step, churnPacket(r))
+			if s := r.Intn(len(ref)); live[s] {
+				if p := hitPacket(ref[s]); p != nil {
+					check(step, p)
+				}
+			}
 		}
 	}
 

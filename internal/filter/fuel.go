@@ -90,9 +90,7 @@ func countTestNodes(n *tnode) int {
 	if n.word >= 0 {
 		total = 1
 	}
-	for _, b := range n.branches {
-		total += countTestNodes(b)
-	}
+	n.branches.each(func(b *tnode) { total += countTestNodes(b) })
 	return total + countTestNodes(n.wildcard)
 }
 
