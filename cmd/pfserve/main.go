@@ -1,10 +1,11 @@
 // Pfserve runs the packet filter live: the identical filter engine,
 // resource governor, span tracer and flight recorder that the
 // simulator exercises in virtual time, serving real packets on real
-// sockets.  Frames arrive as loopback UDP datagrams (one frame per
-// datagram, verbatim — the wire stand-in for ethersim's shared
-// medium); ports are opened, filters bound, packets read and
-// statistics fetched over a JSON-lines TCP control socket.
+// sockets.  Frames arrive as loopback UDP datagrams (a batch of
+// length-prefixed frames per datagram, each verbatim — the wire
+// stand-in for ethersim's shared medium); ports are opened, filters
+// bound, packets read and statistics fetched over a JSON-lines TCP
+// control socket.
 //
 //	pfserve [-ctl addr] [-udp addr] [-link 3mb|10mb]
 //	        [-mode checked|fast|compiled|table] [-gov] [-reorder]

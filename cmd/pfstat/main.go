@@ -344,8 +344,8 @@ func liveReport(addr string, asJSON bool) {
 	fmt.Printf("device: %d frames received, %d kernel drops, %d queued now\n",
 		st.Device.Received, st.Device.KernelDrops, st.Device.QueuedNow)
 	if st.Wire != nil {
-		fmt.Printf("wire: %d datagrams received, %d bytes\n",
-			st.Wire.Received, st.Wire.RxBytes)
+		fmt.Printf("wire: %d frames in %d datagrams, %d bytes, %d malformed datagrams\n",
+			st.Wire.Received, st.Wire.Datagrams, st.Wire.RxBytes, st.Wire.Malformed)
 	}
 	printPortTable(st.Ports)
 	if st.Gov != nil {

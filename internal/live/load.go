@@ -2,8 +2,8 @@ package live
 
 // The load driver behind `pfserve -selftest` and cmd/pfload: it
 // exercises a running pfserve entirely from outside — ports opened and
-// filters bound over the control socket, frames injected as loopback
-// UDP datagrams, packets drained by concurrent control-socket readers
+// filters bound over the control socket, frames injected over the
+// loopback-UDP wire, packets drained by concurrent control-socket readers
 // — and then reconciles every layer's counters exactly.  The
 // conservation argument is the PR-6 span invariant carried into live
 // mode:
@@ -190,7 +190,7 @@ func RunLoad(ctlAddr, udpAddr string, cfg LoadConfig) (*LoadReport, error) {
 		}(i, portIDs[i])
 	}
 
-	// Injection: frames go out as loopback UDP datagrams, verbatim.
+	// Injection: frames go out over the loopback-UDP wire, verbatim.
 	sender, err := DialWire(udpAddr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
@@ -215,6 +215,10 @@ func RunLoad(ctlAddr, udpAddr string, cfg LoadConfig) (*LoadReport, error) {
 		if (i+1)%cfg.PaceEvery == 0 {
 			sleep(clk, cfg.Pace)
 		}
+	}
+	// Sent is final only once the Sender's last batch is written.
+	if err := sender.Flush(); err != nil {
+		return nil, fmt.Errorf("send: %w", err)
 	}
 	rep.Sent = sender.Sent.Load()
 	rep.SendTime = clk.Now() - start

@@ -622,7 +622,7 @@ func (t *Tracer) observeStages(r *SpanRecord, host string) {
 	}
 	for i, seg := range stageSegs {
 		if have[seg.from] && have[seg.to] {
-			t.reg.histogram(host, stageHistNames[i]).Observe(when[seg.to] - when[seg.from])
+			t.hotHist(host, i).Observe(when[seg.to] - when[seg.from])
 		}
 	}
 	if have[StageOrigin] {

@@ -139,6 +139,84 @@ type Tracer struct {
 	reg   registry
 	prof  profiler
 	spans *Spans
+	hot   hostHandles
+}
+
+// Fixed-name metrics the per-packet entry points update, resolved
+// through hostHandles instead of a registry lookup per call.
+const (
+	hotPackets = iota
+	hotEvals
+	hotInstrs
+	hotMatched
+	hotEnqueued
+	hotDequeued
+	hotDelivered
+	numHotCounters
+)
+
+var hotCounterNames = [numHotCounters]string{
+	hotPackets:   "pf.packets",
+	hotEvals:     "pf.evals",
+	hotInstrs:    "pf.instrs",
+	hotMatched:   "pf.matched",
+	hotEnqueued:  "pf.enqueued",
+	hotDequeued:  "pf.dequeued",
+	hotDelivered: "pf.delivered",
+}
+
+// hostHandles.hists holds the stage histograms (stageHistNames order)
+// and then the delivery-latency histogram.
+const (
+	hotDeliveryLatency  = len(stageHistNames)
+	numHotHists         = hotDeliveryLatency + 1
+	histDeliveryLatency = "pf.delivery_latency"
+)
+
+// hostHandles caches, for the host the tracer last saw, the registry
+// entries behind the per-packet entry points.  Each handle is filled
+// on first use, exactly where the registry lookup it replaces would
+// have created the entry, so registry contents are unchanged; the
+// pointers stay valid because ResetHost zeroes entries in place.  A
+// different host empties the cache, so alternating hosts costs one
+// lookup per handle, as without it.
+type hostHandles struct {
+	host     string
+	counters [numHotCounters]*Counter
+	hists    [numHotHists]*Histogram
+}
+
+// hotCounter returns host's counter hotCounterNames[i].
+func (t *Tracer) hotCounter(host string, i int) *Counter {
+	h := &t.hot
+	if h.host != host {
+		*h = hostHandles{host: host}
+	}
+	c := h.counters[i]
+	if c == nil {
+		c = t.reg.counter(host, hotCounterNames[i])
+		h.counters[i] = c
+	}
+	return c
+}
+
+// hotHist returns host's histogram i: a stage histogram, or
+// hotDeliveryLatency.
+func (t *Tracer) hotHist(host string, i int) *Histogram {
+	h := &t.hot
+	if h.host != host {
+		*h = hostHandles{host: host}
+	}
+	hist := h.hists[i]
+	if hist == nil {
+		name := histDeliveryLatency
+		if i < hotDeliveryLatency {
+			name = stageHistNames[i]
+		}
+		hist = t.reg.histogram(host, name)
+		h.hists[i] = hist
+	}
+	return hist
 }
 
 // New creates a Tracer with metrics and profiling enabled and no
@@ -232,18 +310,18 @@ func (t *Tracer) UserTime(host string, d time.Duration) {
 // PacketIn records one received packet entering the packet-filter
 // input path on host (after any kernel-resident protocol claim).
 func (t *Tracer) PacketIn(now time.Duration, host string) {
-	t.reg.counter(host, "pf.packets").Add(1)
+	t.hotCounter(host, hotPackets).Add(1)
 }
 
 // FilterEval records one filter application: instrs instruction words
 // interpreted on behalf of port, accepting or rejecting the packet.
 // port is -1 for a merged decision-table walk.
 func (t *Tracer) FilterEval(now time.Duration, host string, port int, instrs int, accept bool) {
-	t.reg.counter(host, "pf.evals").Add(1)
-	t.reg.counter(host, "pf.instrs").Add(uint64(instrs))
+	t.hotCounter(host, hotEvals).Add(1)
+	t.hotCounter(host, hotInstrs).Add(uint64(instrs))
 	var aux int64
 	if accept {
-		t.reg.counter(host, "pf.matched").Add(1)
+		t.hotCounter(host, hotMatched).Add(1)
 		aux = 1
 	}
 	t.emit(Event{When: now, Kind: KindFilterEval, Host: host, Port: port,
@@ -252,14 +330,14 @@ func (t *Tracer) FilterEval(now time.Duration, host string, port int, instrs int
 
 // Enqueue records a packet queued on port, with the depth after.
 func (t *Tracer) Enqueue(now time.Duration, host string, port, depth int) {
-	t.reg.counter(host, "pf.enqueued").Add(1)
+	t.hotCounter(host, hotEnqueued).Add(1)
 	t.emit(Event{When: now, Kind: KindEnqueue, Host: host, Port: port, Value: int64(depth)})
 }
 
 // Dequeue records a read draining n packets from port, with the depth
 // after.
 func (t *Tracer) Dequeue(now time.Duration, host string, port, depth, n int) {
-	t.reg.counter(host, "pf.dequeued").Add(uint64(n))
+	t.hotCounter(host, hotDequeued).Add(uint64(n))
 	t.emit(Event{When: now, Kind: KindDequeue, Host: host, Port: port,
 		Value: int64(depth), Aux: int64(n)})
 }
@@ -287,8 +365,8 @@ var legacyDropNames = map[string]string{
 // Deliver records a packet reaching a user process via port,
 // observing the arrival-to-delivery latency histogram.
 func (t *Tracer) Deliver(now time.Duration, host string, port int, latency time.Duration) {
-	t.reg.counter(host, "pf.delivered").Add(1)
-	t.reg.histogram(host, "pf.delivery_latency").Observe(latency)
+	t.hotCounter(host, hotDelivered).Add(1)
+	t.hotHist(host, hotDeliveryLatency).Observe(latency)
 	t.emit(Event{When: now, Kind: KindDeliver, Host: host, Port: port, Value: int64(latency)})
 }
 

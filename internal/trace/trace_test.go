@@ -290,3 +290,48 @@ func TestKindString(t *testing.T) {
 		t.Fatal("out-of-range kind")
 	}
 }
+
+// The per-packet entry points resolve their metrics through the
+// last-host handle cache; the registry they leave behind — which keys
+// exist and what each holds — must be exactly what per-call lookups
+// would leave, across host switches and ResetHost.
+func TestHotHandlesMatchRegistryLookups(t *testing.T) {
+	hot, ref := New(), New()
+	hosts := []string{"A", "A", "B", "A", "C", "C", "B"}
+	for i, host := range hosts {
+		accept := i%3 == 0
+		hot.PacketIn(0, host)
+		hot.FilterEval(0, host, 1, i+2, accept)
+		ref.Counter(host, "pf.packets").Add(1)
+		ref.Counter(host, "pf.evals").Add(1)
+		ref.Counter(host, "pf.instrs").Add(uint64(i + 2))
+		if accept {
+			ref.Counter(host, "pf.matched").Add(1)
+			hot.Enqueue(0, host, 1, 1)
+			hot.Dequeue(0, host, 1, 0, 1)
+			hot.Deliver(0, host, 1, time.Duration(i)*time.Microsecond)
+			ref.Counter(host, "pf.enqueued").Add(1)
+			ref.Counter(host, "pf.dequeued").Add(1)
+			ref.Counter(host, "pf.delivered").Add(1)
+			ref.Histogram(host, "pf.delivery_latency").Observe(time.Duration(i) * time.Microsecond)
+		}
+		if i == 3 {
+			hot.ResetHost("A")
+			ref.ResetHost("A")
+		}
+	}
+	if len(hot.reg.counters) != len(ref.reg.counters) || len(hot.reg.histograms) != len(ref.reg.histograms) {
+		t.Fatalf("registry holds %d counters / %d histograms, lookups make %d / %d",
+			len(hot.reg.counters), len(hot.reg.histograms), len(ref.reg.counters), len(ref.reg.histograms))
+	}
+	for k, c := range ref.reg.counters {
+		if got, ok := hot.reg.counters[k]; !ok || got.v != c.v {
+			t.Errorf("counter %v: got %v, want %d", k, got, c.v)
+		}
+	}
+	for k, h := range ref.reg.histograms {
+		if got, ok := hot.reg.histograms[k]; !ok || *got != *h {
+			t.Errorf("histogram %v differs", k)
+		}
+	}
+}
