@@ -136,29 +136,34 @@ func BenchmarkFilterSet20Table(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveTableInput is the live device's table-mode receive path
-// — tree walk, scan over the ports the table names, enqueue — against
-// the port count: a hit is queued on one port (drained every 32
-// frames), a miss is a kernel drop.  The scan index keeps both flat in
-// the number of open ports.
-func BenchmarkLiveTableInput(b *testing.B) {
-	for _, n := range []int{64, 1024} {
-		d := live.NewDevice(live.Options{Link: ethersim.Ether3Mb, Mode: pfdev.EvalTable})
+// BenchmarkLiveInput is the live device's receive path — the §3.2
+// match, then enqueue — in the checked interpreter's linear scan and in
+// table mode, against the port count: a hit is queued on the
+// last-opened port (drained every 32 frames), a miss is a kernel drop.
+// The linear scan evaluates every filter up to the hit; the table's
+// scan index keeps both cases flat in the number of open ports.
+func BenchmarkLiveInput(b *testing.B) {
+	for _, c := range []struct {
+		mode  string
+		eval  pfdev.EvalMode
+		ports int
+	}{{"checked", pfdev.EvalChecked, 64}, {"table", pfdev.EvalTable, 64}, {"table", pfdev.EvalTable, 1024}} {
+		d := live.NewDevice(live.Options{Link: ethersim.Ether3Mb, Mode: c.eval})
 		var target *live.Port
-		for i := 0; i < n; i++ {
+		for i := 0; i < c.ports; i++ {
 			target = d.Open()
 			if err := target.SetFilter(filter.DstSocketFilter(10, uint32(0x100+i))); err != nil {
 				b.Fatal(err)
 			}
 		}
-		for _, c := range []struct {
+		for _, f := range []struct {
 			name  string
 			frame []byte
-		}{{"hit", benchPacket(uint32(0x100 + n - 1))}, {"miss", benchPacket(0x99)}} {
-			b.Run("ports="+strconv.Itoa(n)+"/"+c.name, func(b *testing.B) {
+		}{{"hit", benchPacket(uint32(0x100 + c.ports - 1))}, {"miss", benchPacket(0x99)}} {
+			b.Run(c.mode+"/ports="+strconv.Itoa(c.ports)+"/"+f.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					d.Input(c.frame)
+					d.Input(f.frame)
 					if i%32 == 31 {
 						target.ReadBatch(0, -1)
 					}

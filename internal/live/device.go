@@ -2,18 +2,19 @@
 // goroutines, driven by frames arriving from a loopback-UDP wire
 // (wire.go) instead of the virtual Ethernet.
 //
-// The engine state is pfdev's own code, not a copy: each Port embeds a
+// The engine is pfdev's own code, not a copy: each Port embeds a
 // pfdev.Binding (the filter validated or compiled per evaluation mode,
 // its per-mode evaluation and pricing, match counters and the
-// governor's token bucket and quarantine), the Device keeps its scan
-// order and decision table in a pfdev.TableIndex (busy-first
-// reordering, incremental table patches, the slot→port scan index) and
-// its overload controller in a pfdev.Admission.  Those types take the
-// caller's clock reading, so here they run on wall time.  What stays in
-// this package is the clock, the locking, the queues and the two match
-// loops, which differ from pfdev's only in that the simulated device
-// charges virtual CPU for every evaluation step (the paper's §6
-// numbers) while the live one measures wall time instead.  The
+// governor's token bucket and quarantine) and a pfdev.PortQueue (the
+// input queue, its loss count, read and residency accounting and trace
+// instruments); the Device keeps its scan order and decision table in a
+// pfdev.TableIndex, whose Match is the one §3.2 match loop, and its
+// overload controller in a pfdev.Admission.  Those types take the
+// caller's clock reading, so here they run on wall time.  Match returns
+// a tally of the work it did, which the simulated device prices in
+// virtual CPU (the paper's §6 numbers) and this one ignores beyond the
+// quarantine-skip flag: it measures wall time instead.  What stays in
+// this package is the clock, the locking and the blocking reads.  The
 // mode-equivalence test pins that the two devices, given the same
 // filter set and packet sequence, fill in the same pfdev.PortStats
 // field by field.
@@ -104,20 +105,16 @@ type Device struct {
 	// patches mid-scan.
 	idx     pfdev.TableIndex[*Port]
 	byID    map[int]*Port // open ports by id
-	nextID  int
 	pktSeen uint64
 
 	// Governor state: the admission controller is pfdev's; the backlog
-	// it is fed is queuedTotal (gov.go).  scanQuarSkip marks a match
-	// pass that skipped a quarantined filter.
-	adm          pfdev.Admission
-	queuedTotal  int
-	scanQuarSkip bool
+	// it is fed is queuedTotal (gov.go).
+	adm         pfdev.Admission
+	queuedTotal int
 
 	received    uint64 // frames handed to Input
 	kernelDrops uint64 // no-match / quota / admission drops
 
-	treeScratch []*Port
 	portScratch []*Port
 
 	// Multi-queue receive state (mq.go).  rxqs is built once in
@@ -171,49 +168,19 @@ func (d *Device) Link() ethersim.LinkType { return d.opt.Link }
 
 // Packet is one received packet as returned by Read: the complete
 // frame including the data-link header, plus the optional receive
-// timestamp and the cumulative drop count, as in pfdev.Packet.
-type Packet struct {
-	Data  []byte
-	Stamp time.Duration
-	Drops uint64
-
-	arrived time.Duration // when the frame entered Input
-	qAt     time.Duration // when it was enqueued
-	span    uint64
-}
-
-// Span returns the packet's provenance span id (0 when untracked).
-func (pkt Packet) Span() uint64 { return pkt.span }
+// timestamp and the cumulative drop count — pfdev's packet.
+type Packet = pfdev.Packet
 
 // Port is one open port on the live device.
 type Port struct {
-	dev     *Device
-	id      int
-	copyAll bool
-	stamp   bool
-	closed  bool
+	dev    *Device
+	closed bool
 
 	// Binding is the bound filter, its scan-index place, its match
-	// counters and its governor bucket — the same state as a simulated
-	// port's.  It sits next to the flags above so a scan visit touches
-	// as few cache lines as possible.
+	// counters and its governor bucket; PortQueue is the input queue and
+	// its accounting — the same state as a simulated port's.
 	pfdev.Binding
-
-	queue      []Packet
-	qhead      int
-	queueLimit int
-	maxQueued  int
-	dropped    uint64
-
-	reads   uint64
-	batches uint64
-	batched uint64
-
-	qresSum time.Duration
-	qresN   uint64
-
-	spanDropCtrs [trace.NumDropReasons]*trace.Counter
-	qGauge       *trace.Gauge
+	pfdev.PortQueue
 
 	readers *sync.Cond // on dev.mu; broadcast on enqueue/close/timeout
 }
@@ -225,15 +192,10 @@ const DefaultQueueLimit = pfdev.DefaultQueueLimit
 func (d *Device) Open() *Port {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	port := &Port{
-		dev:        d,
-		id:         d.nextID,
-		queueLimit: DefaultQueueLimit,
-	}
-	port.readers = sync.NewCond(&d.mu)
-	d.nextID++
-	d.byID[port.id] = port
+	port := &Port{dev: d, readers: sync.NewCond(&d.mu)}
+	port.InitQueue(d.name, &d.queuedTotal)
 	d.idx.AddPort(port, &port.Binding, d.clk.Now())
+	d.byID[port.ID()] = port
 	return port
 }
 
@@ -243,9 +205,6 @@ func (d *Device) Port(id int) *Port {
 	defer d.mu.Unlock()
 	return d.byID[id]
 }
-
-// ID returns the port's device-unique id.
-func (port *Port) ID() int { return port.id }
 
 // SetFilter binds a filter to the port, validating or compiling it at
 // bind time exactly as the simulated device's ioctl does.
@@ -263,10 +222,7 @@ func (port *Port) SetFilter(f filter.Filter) error {
 func (port *Port) SetQueueLimit(n int) {
 	port.dev.mu.Lock()
 	defer port.dev.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	port.queueLimit = n
+	port.PortQueue.SetQueueLimit(n)
 }
 
 // SetCopyAll requests that packets accepted by this port's filter also
@@ -274,14 +230,14 @@ func (port *Port) SetQueueLimit(n int) {
 func (port *Port) SetCopyAll(on bool) {
 	port.dev.mu.Lock()
 	defer port.dev.mu.Unlock()
-	port.copyAll = on
+	port.Binding.SetCopyAll(on)
 }
 
 // SetStamp enables receive timestamping.
 func (port *Port) SetStamp(on bool) {
 	port.dev.mu.Lock()
 	defer port.dev.mu.Unlock()
-	port.stamp = on
+	port.PortQueue.SetStamp(on)
 }
 
 // Input delivers one received frame to the device: governor admission,
@@ -334,25 +290,16 @@ func (d *Device) input(frame []byte, queue int) {
 		d.idx.Reorder()
 	}
 
-	var ports []*Port
-	if d.opt.Mode == pfdev.EvalTable {
-		ports = d.tableMatch(frame, d.portScratch[:0])
-	} else {
-		ports = d.linearMatch(frame, d.portScratch[:0])
-	}
-	quarSkip := d.scanQuarSkip
+	// The match runs on the arrival reading: governor admission and
+	// FilterEval timestamps share the instant the frame entered, as in
+	// the simulator.
+	m := pfdev.Match{Now: now, Tracer: d.tr, Host: d.name}
+	ports := d.idx.Match(frame, d.portScratch[:0], &m)
 	after := d.clk.Now()
 	d.tr.SpanMark(span, trace.StageFilter, after)
 	if len(ports) == 0 {
 		d.kernelDrops++
-		reason, label := trace.DropNoMatch, "nomatch"
-		if quarSkip {
-			reason, label = trace.DropQuota, "quota"
-		}
-		if d.tr != nil {
-			d.tr.Drop(after, d.name, label)
-		}
-		d.tr.SpanDrop(span, after, d.name, reason)
+		pfdev.DropUnmatched(d.tr, after, d.name, span, m.QuarSkip)
 		d.portScratch = ports[:0]
 		return
 	}
@@ -366,95 +313,6 @@ func (d *Device) input(frame []byte, queue int) {
 	d.portScratch = ports[:0]
 }
 
-// linearMatch is pfdev's linear scan without the virtual cost charges:
-// priority order, governor admission, copy-all continuation,
-// non-copy-all early stop.
-func (d *Device) linearMatch(frame []byte, dst []*Port) []*Port {
-	now := d.clk.Now()
-	accepted := dst
-	gov := d.opt.Gov.Enabled
-	d.scanQuarSkip = false
-	for _, port := range d.idx.Ports() {
-		if port.closed || !port.Bound() {
-			continue
-		}
-		if gov && !port.Admit(now, &d.opt.Gov) {
-			d.scanQuarSkip = true
-			continue
-		}
-		accept, instrs := port.Eval(frame)
-		if d.tr != nil {
-			d.tr.FilterEval(now, d.name, port.id, instrs, accept)
-		}
-		if !accept {
-			continue
-		}
-		accepted = append(accepted, port)
-		if !port.copyAll {
-			break
-		}
-	}
-	return accepted
-}
-
-// tableMatch is pfdev's merged-decision-table scan without the
-// virtual cost charges: the table (snapshotted once per match) answers
-// which filters can accept, the shared index picks the ports to visit
-// and applies the governor as each is reached, and the scan stops at
-// the first non-copy-all accept.  Per-port accounting (instrs, fuel,
-// FilterEval traces, edge shares) is pfdev's, which is what keeps the
-// mode-equivalence test pinning virtual vs live field by field.
-func (d *Device) tableMatch(frame []byte, dst []*Port) []*Port {
-	now := d.clk.Now()
-	d.scanQuarSkip = false
-	tbl, visit, edges := d.idx.BeginMatch(frame)
-
-	accepted, treeAccepts := dst, d.treeScratch[:0]
-	for _, port := range visit {
-		quar, accept, ran, instrs := d.idx.Reach(port, &port.Binding, tbl, frame, now)
-		if quar {
-			d.scanQuarSkip = true
-			continue
-		}
-		if ran {
-			if d.tr != nil {
-				d.tr.FilterEval(now, d.name, port.id, instrs, accept)
-			}
-		} else if accept {
-			treeAccepts = append(treeAccepts, port)
-		}
-		if !accept {
-			continue
-		}
-		accepted = append(accepted, port)
-		if !port.copyAll {
-			break
-		}
-	}
-
-	switch {
-	case len(treeAccepts) > 0:
-		share := edges / len(treeAccepts)
-		extra := edges % len(treeAccepts)
-		for k, port := range treeAccepts {
-			in := share
-			if k < extra {
-				in++
-			}
-			port.Charge(in)
-			if d.tr != nil {
-				d.tr.FilterEval(now, d.name, port.id, in, true)
-			}
-		}
-	case edges > 0:
-		if d.tr != nil {
-			d.tr.FilterEval(now, d.name, -1, edges, false)
-		}
-	}
-	d.treeScratch = treeAccepts[:0]
-	return accepted
-}
-
 // TableMaint reports the table-maintenance counters: from-scratch
 // builds and incremental patches.
 func (d *Device) TableMaint() (builds, patches uint64) {
@@ -463,81 +321,17 @@ func (d *Device) TableMaint() (builds, patches uint64) {
 	return d.idx.TableBuilds, d.idx.TablePatches
 }
 
-// qlen returns the input-queue depth.
-func (port *Port) qlen() int { return len(port.queue) - port.qhead }
-
-func (port *Port) queued() []Packet { return port.queue[port.qhead:] }
-
-func (port *Port) popFront(n int) {
-	for i := port.qhead; i < port.qhead+n; i++ {
-		port.queue[i] = Packet{}
-	}
-	port.qhead += n
-	port.dev.queuedTotal -= n
-	switch {
-	case port.qhead == len(port.queue):
-		port.queue = port.queue[:0]
-		port.qhead = 0
-	case port.qhead >= 32 && 2*port.qhead >= len(port.queue):
-		kept := copy(port.queue, port.queue[port.qhead:])
-		for i := kept; i < len(port.queue); i++ {
-			port.queue[i] = Packet{}
-		}
-		port.queue = port.queue[:kept]
-		port.qhead = 0
-	}
-}
-
-func (port *Port) spanDropCounter(tr *trace.Tracer, reason trace.DropReason) *trace.Counter {
-	c := port.spanDropCtrs[reason]
-	if c == nil {
-		c = tr.Counter(port.dev.name, spanDropName(port.id, reason))
-		port.spanDropCtrs[reason] = c
-	}
-	return c
-}
-
-func (port *Port) depthGauge(tr *trace.Tracer) *trace.Gauge {
-	if port.qGauge == nil {
-		port.qGauge = tr.Gauge(port.dev.name, depthGaugeName(port.id))
-	}
-	return port.qGauge
-}
-
 // enqueue adds a packet to the port queue (device lock held) and wakes
 // blocked readers; overflow drops mirror pfdev's accounting.
-func (port *Port) enqueue(frame []byte, arrived time.Duration, span uint64) bool {
+func (port *Port) enqueue(frame []byte, arrived time.Duration, span uint64) {
 	d := port.dev
 	now := d.clk.Now()
-	if port.qlen() >= port.queueLimit {
-		port.dropped++
-		if d.tr != nil {
-			d.tr.Drop(now, d.name, "queue")
-			if span != 0 {
-				port.spanDropCounter(d.tr, trace.DropPortQueue).Add(1)
-			}
-		}
-		d.tr.SpanDrop(span, now, d.name, trace.DropPortQueue)
-		d.tr.SpanPort(span, port.id)
-		return false
+	if port.Full(0) {
+		port.Overflow(d.tr, now, port.ID(), span, trace.DropPortQueue)
+		return
 	}
-	pkt := Packet{Data: frame, Drops: port.dropped, arrived: arrived, span: span, qAt: now}
-	if port.stamp {
-		pkt.Stamp = now
-	}
-	port.queue = append(port.queue, pkt)
-	d.queuedTotal++
-	if port.qlen() > port.maxQueued {
-		port.maxQueued = port.qlen()
-	}
-	if d.tr != nil {
-		port.depthGauge(d.tr).Set(int64(port.qlen()))
-		d.tr.Enqueue(now, d.name, port.id, port.qlen())
-	}
-	d.tr.SpanMark(span, trace.StageQueue, now)
-	d.tr.SpanPort(span, port.id)
+	port.Push(d.tr, now, port.ID(), frame, arrived, span)
 	port.readers.Broadcast()
-	return true
 }
 
 // wait blocks until the port has a queued packet, is closed, or the
@@ -546,11 +340,11 @@ func (port *Port) enqueue(frame []byte, arrived time.Duration, span uint64) bool
 // logic itself stays wall-clock free.
 func (port *Port) wait(timeout time.Duration) error {
 	d := port.dev
-	if port.qlen() > 0 {
-		return nil
-	}
 	if port.closed {
 		return ErrClosed
+	}
+	if port.Len() > 0 {
+		return nil
 	}
 	if timeout < 0 {
 		return ErrWouldBlock
@@ -566,11 +360,11 @@ func (port *Port) wait(timeout time.Duration) error {
 		})
 		defer tm.Stop()
 	}
-	for port.qlen() == 0 && !port.closed && !expired {
+	for port.Len() == 0 && !port.closed && !expired {
 		port.readers.Wait()
 	}
 	switch {
-	case port.qlen() > 0:
+	case port.Len() > 0:
 		return nil
 	case port.closed:
 		return ErrClosed
@@ -585,24 +379,12 @@ func (port *Port) Read(timeout time.Duration) (Packet, error) {
 	d := port.dev
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if port.closed {
-		return Packet{}, ErrClosed
-	}
 	if err := port.wait(timeout); err != nil {
 		return Packet{}, err
 	}
-	pkt := port.queue[port.qhead]
-	port.popFront(1)
 	now := d.clk.Now()
-	port.qresSum += now - pkt.qAt
-	port.qresN++
-	port.reads++
-	if d.tr != nil {
-		port.depthGauge(d.tr).Set(int64(port.qlen()))
-		d.tr.Dequeue(now, d.name, port.id, port.qlen(), 1)
-		d.tr.Deliver(now, d.name, port.id, now-pkt.arrived)
-		d.tr.SpanDelivered(pkt.span, now, d.name, port.id)
-	}
+	pkt := port.TakeOne(now)
+	port.Delivered(d.tr, now, port.ID(), pkt)
 	return pkt, nil
 }
 
@@ -612,34 +394,17 @@ func (port *Port) ReadBatch(max int, timeout time.Duration) ([]Packet, error) {
 	d := port.dev
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if port.closed {
-		return nil, ErrClosed
-	}
 	if err := port.wait(timeout); err != nil {
 		return nil, err
 	}
-	n := port.qlen()
+	n := port.Len()
 	if max > 0 && n > max {
 		n = max
 	}
 	batch := make([]Packet, n)
-	copy(batch, port.queued()[:n])
-	port.popFront(n)
 	now := d.clk.Now()
-	for i := range batch {
-		port.qresSum += now - batch[i].qAt
-	}
-	port.qresN += uint64(n)
-	port.batches++
-	port.batched += uint64(n)
-	if d.tr != nil {
-		port.depthGauge(d.tr).Set(int64(port.qlen()))
-		d.tr.Dequeue(now, d.name, port.id, port.qlen(), n)
-		for _, pkt := range batch {
-			d.tr.Deliver(now, d.name, port.id, now-pkt.arrived)
-			d.tr.SpanDelivered(pkt.span, now, d.name, port.id)
-		}
-	}
+	port.TakeBatch(batch, now)
+	port.Delivered(d.tr, now, port.ID(), batch...)
 	return batch, nil
 }
 
@@ -652,19 +417,8 @@ func (port *Port) Stats() pfdev.PortStats {
 }
 
 func (port *Port) statsLocked() pfdev.PortStats {
-	var res time.Duration
-	if port.qresN > 0 {
-		res = port.qresSum / time.Duration(port.qresN)
-	}
 	ps := port.FilterStats()
-	ps.ID = port.id
-	ps.Queued = port.qlen()
-	ps.MaxQueued = port.maxQueued
-	ps.Dropped = port.dropped
-	ps.Reads = port.reads
-	ps.BatchReads = port.batches
-	ps.BatchPackets = port.batched
-	ps.AvgResidency = res
+	port.QueueStats(&ps)
 	return ps
 }
 
@@ -683,15 +437,9 @@ func (port *Port) closeLocked() {
 	}
 	d := port.dev
 	port.closed = true
-	d.queuedTotal -= port.qlen()
-	now := d.clk.Now()
-	for _, pkt := range port.queued() {
-		d.tr.SpanDrop(pkt.span, now, d.name, trace.DropPortClose)
-	}
-	port.queue = nil
-	port.qhead = 0
+	port.Discard(d.tr, d.clk.Now(), trace.DropPortClose)
 	port.readers.Broadcast()
-	delete(d.byID, port.id)
+	delete(d.byID, port.ID())
 	d.idx.DropPort(&port.Binding)
 }
 

@@ -9,19 +9,7 @@ package live
 // file is what genuinely differs: the backlog signal (the live device
 // has no virtual pending-delivery queue) and the shed accounting.
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
-
-func spanDropName(port int, reason trace.DropReason) string {
-	return fmt.Sprintf("pf.port%d.span_drop.%s", port, reason)
-}
-
-func depthGaugeName(port int) string {
-	return fmt.Sprintf("pf.port%d.depth", port)
-}
+import "repro/internal/trace"
 
 // backlog is the admission controller's load signal.  The live device
 // enqueues synchronously (no deferred "pf" CPU charge), so the backlog

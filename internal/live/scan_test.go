@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ethersim"
@@ -95,37 +96,47 @@ func TestTableScanGovernorWalksAllPorts(t *testing.T) {
 	}
 }
 
-// TestTableInputAllocationFree pins the table-mode Input path — tree
-// walk, scan set, rank sort, enqueue — at zero heap allocations per
-// frame once the scratch slices and the port queue are warm.
-func TestTableInputAllocationFree(t *testing.T) {
+// TestInputAllocationFree pins the Input path — the match in every
+// evaluation mode, with the governor off and on, and the enqueue — at
+// zero heap allocations per frame, matched or not, once the scratch
+// slices and the port queue are warm.
+func TestInputAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins only run without -race")
 	}
 	link := ethersim.Ether10Mb
-	d := NewDevice(Options{Link: link, Mode: pfdev.EvalTable})
-	const n = 1024
-	port := openSocketPorts(t, d, n)[n/2]
-	if err := d.Open().SetFilter(orFilter(15)); err != nil {
-		t.Fatal(err)
-	}
-	hit, miss := pupFrame(t, link, scanBase+n/2), pupFrame(t, link, scanBase-1)
-	deliver := func(frame []byte, want int) {
-		d.Input(frame)
-		if port.qlen() != want {
-			t.Fatalf("queue depth %d after input, want %d", port.qlen(), want)
+	// A governor generous enough never to quarantine the ports.
+	gov := pfdev.GovConfig{Enabled: true, Rate: 1e9, Burst: 1 << 30}
+	for _, mode := range []pfdev.EvalMode{pfdev.EvalChecked, pfdev.EvalFast, pfdev.EvalCompiled, pfdev.EvalTable} {
+		for _, g := range []pfdev.GovConfig{{}, gov} {
+			t.Run(fmt.Sprintf("mode=%d/gov=%v", mode, g.Enabled), func(t *testing.T) {
+				d := NewDevice(Options{Link: link, Mode: mode, Gov: g})
+				const n = 1024
+				port := openSocketPorts(t, d, n)[n/2]
+				if err := d.Open().SetFilter(orFilter(15)); err != nil {
+					t.Fatal(err)
+				}
+				hit, miss := pupFrame(t, link, scanBase+n/2), pupFrame(t, link, scanBase-1)
+				buf := make([]Packet, 1)
+				deliver := func(frame []byte, want int) {
+					d.Input(frame)
+					if port.Len() != want {
+						t.Fatalf("queue depth %d after input, want %d", port.Len(), want)
+					}
+					port.TakeBatch(buf[:want], 0)
+				}
+				for i := 0; i < 64; i++ {
+					deliver(hit, 1)
+				}
+				deliver(miss, 0)
+				if a := testing.AllocsPerRun(200, func() { deliver(hit, 1) }); a != 0 {
+					t.Errorf("matched input allocates %.1f/frame, want 0", a)
+				}
+				if a := testing.AllocsPerRun(200, func() { deliver(miss, 0) }); a != 0 {
+					t.Errorf("unmatched input allocates %.1f/frame, want 0", a)
+				}
+			})
 		}
-		port.popFront(want)
-	}
-	for i := 0; i < 64; i++ {
-		deliver(hit, 1)
-	}
-	deliver(miss, 0)
-	if a := testing.AllocsPerRun(200, func() { deliver(hit, 1) }); a != 0 {
-		t.Errorf("matched table input allocates %.1f/frame, want 0", a)
-	}
-	if a := testing.AllocsPerRun(200, func() { deliver(miss, 0) }); a != 0 {
-		t.Errorf("unmatched table input allocates %.1f/frame, want 0", a)
 	}
 }
 
@@ -143,7 +154,7 @@ func TestPortStatsIDOrderAfterReorder(t *testing.T) {
 		d.Input(pupFrame(t, link, scanBase+n-1)) // the last-opened port becomes the busiest
 	}
 	d.mu.Lock()
-	first, second := d.idx.Ports()[0].id, d.idx.Ports()[1].id
+	first, second := d.idx.Ports()[0].ID(), d.idx.Ports()[1].ID()
 	d.mu.Unlock()
 	if first != 2 || second != n-1 {
 		t.Fatalf("scan order starts %d, %d; want the priority-30 port 2 then the busy port %d", first, second, n-1)

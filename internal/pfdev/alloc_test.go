@@ -55,15 +55,15 @@ func TestReceivePathAllocationFree(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		deliver(match)
 	}
-	for port.qlen() > 0 {
+	for port.Len() > 0 {
 		port.popFront(1)
 	}
 	deliver(miss)
 
 	if a := testing.AllocsPerRun(200, func() {
 		deliver(match)
-		if port.qlen() != 1 {
-			t.Fatalf("frame not delivered (qlen %d)", port.qlen())
+		if port.Len() != 1 {
+			t.Fatalf("frame not delivered (qlen %d)", port.Len())
 		}
 		port.popFront(1)
 	}); a != 0 {
@@ -71,7 +71,7 @@ func TestReceivePathAllocationFree(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(200, func() {
 		deliver(miss)
-		if port.qlen() != 0 {
+		if port.Len() != 0 {
 			t.Fatalf("non-matching frame delivered")
 		}
 	}); a != 0 {
@@ -101,8 +101,8 @@ func TestReceivePathAllocationFreeWithSpans(t *testing.T) {
 		span := tr.SpanOrigin(s.Now(), "a")
 		d.inputSpanned(match, span)
 		s.Run(0)
-		if port.qlen() != 1 {
-			t.Fatalf("frame not delivered (qlen %d)", port.qlen())
+		if port.Len() != 1 {
+			t.Fatalf("frame not delivered (qlen %d)", port.Len())
 		}
 		tr.SpanDelivered(port.queued()[0].Span(), s.Now(), "a", port.id)
 		port.popFront(1)
@@ -111,7 +111,7 @@ func TestReceivePathAllocationFreeWithSpans(t *testing.T) {
 		span := tr.SpanOrigin(s.Now(), "a")
 		d.inputSpanned(miss, span)
 		s.Run(0)
-		if port.qlen() != 0 {
+		if port.Len() != 0 {
 			t.Fatalf("non-matching frame delivered")
 		}
 	}
@@ -145,7 +145,7 @@ func BenchmarkReceivePath(b *testing.B) {
 		d.input(frame)
 		s.Run(0)
 	}
-	for port.qlen() > 0 {
+	for port.Len() > 0 {
 		port.popFront(1)
 	}
 	b.ReportAllocs()

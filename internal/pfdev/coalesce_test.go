@@ -71,6 +71,12 @@ func TestCoalesceBatchesBurst(t *testing.T) {
 	if cc.PacketsMatched != pc.PacketsMatched {
 		t.Errorf("matched %d coalesced vs %d plain", cc.PacketsMatched, pc.PacketsMatched)
 	}
+	// Coalescing amortizes the FilterApply setup charge, not the
+	// evaluations: every frame still applies every filter.
+	if cc.FilterApplied != pc.FilterApplied || cc.FilterInstrs != pc.FilterInstrs {
+		t.Errorf("filter work %d/%d coalesced vs %d/%d plain (applied/instrs)",
+			cc.FilterApplied, cc.FilterInstrs, pc.FilterApplied, pc.FilterInstrs)
+	}
 }
 
 // pacedRun drives paced traffic (gaps longer than the per-packet
@@ -131,6 +137,12 @@ func TestCoalescePacedWakeups(t *testing.T) {
 	}
 	if cc.PacketsMatched != pc.PacketsMatched {
 		t.Errorf("matched %d coalesced vs %d plain", cc.PacketsMatched, pc.PacketsMatched)
+	}
+	// Coalescing amortizes the FilterApply setup charge, not the
+	// evaluations: every frame still applies every filter.
+	if cc.FilterApplied != pc.FilterApplied || cc.FilterInstrs != pc.FilterInstrs {
+		t.Errorf("filter work %d/%d coalesced vs %d/%d plain (applied/instrs)",
+			cc.FilterApplied, cc.FilterInstrs, pc.FilterApplied, pc.FilterInstrs)
 	}
 }
 

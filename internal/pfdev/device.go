@@ -22,6 +22,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // EvalMode selects how the device evaluates filter programs; the modes
@@ -144,9 +145,8 @@ type Device struct {
 	kern KernelProtocol
 
 	// The scan order (ports), the published decision table and its
-	// scan index (index.go).
+	// scan index, and the match loops (index.go).
 	portIndex
-	nextID  int
 	pktSeen uint64
 
 	// reorderPending defers a §3.2 busy-first reorder that came due in
@@ -159,12 +159,11 @@ type Device struct {
 	tableStall time.Duration
 
 	// Burst bookkeeping: curBurst is non-zero while inputBurst is
-	// matching a coalesced burst, and per-port/table stamps record
-	// which burst last charged the fixed FilterApply setup, so it is
-	// charged once per burst instead of once per frame.
-	burstSeq   uint64
-	curBurst   uint64
-	tableBurst uint64
+	// matching a coalesced burst; the match loops stamp ports and the
+	// table with it, so the fixed FilterApply setup is charged once per
+	// burst instead of once per frame.
+	burstSeq uint64
+	curBurst uint64
 
 	// queueCap, when non-zero, caps the effective input-queue limit
 	// of every port on the device — the fault engine's "port-queue
@@ -181,16 +180,12 @@ type Device struct {
 	// synchronous within one event callback, and the event loop runs
 	// callbacks one at a time even when lanes overlap in virtual time.
 	rx          []*rxCtx
-	treeScratch []*Port
 	wakeScratch []*Port
 
 	// Governor state (gov.go): queuedTotal tracks packets queued
-	// across all ports O(1); scanQuarSkip is set by a match pass that
-	// skipped at least one quarantined filter, so a resulting
-	// no-match drop is attributed DropQuota rather than DropNoMatch.
+	// across all ports O(1).
 	Admission
-	queuedTotal  int
-	scanQuarSkip bool
+	queuedTotal int
 
 	// KernelDrops counts packets that matched no filter or
 	// overflowed a port queue.
@@ -293,15 +288,10 @@ func (d *Device) crash() {
 		rx.burstLens = rx.burstLens[:0]
 		rx.burstHead = 0
 	}
-	d.queuedTotal = 0
 	d.shedding = false
 	for _, port := range ports {
-		for _, pkt := range port.queued() {
-			tr.SpanDrop(pkt.span, now, d.host.Name(), trace.DropCrash)
-		}
+		port.Discard(tr, now, trace.DropCrash)
 		port.closed = true
-		port.queue = nil
-		port.qhead = 0
 		// Ring attachments die with the kernel's port state; the
 		// segment itself is user memory and survives, free for the
 		// re-opened port to map again.
@@ -311,6 +301,9 @@ func (d *Device) crash() {
 			w.WakeAll(d.host)
 		}
 	}
+	// Frames matched to a port after it closed were queued on it too;
+	// the kernel's count restarts from nothing.
+	d.queuedTotal = 0
 }
 
 // SetQueueCap caps (or, with 0, uncaps) the effective input-queue
@@ -439,13 +432,7 @@ func (rx *rxCtx) inputSpanned(frame []byte, span uint64) {
 	dl := rx.pushPending(frame, arrival)
 	dl.span = span
 	var filterCost time.Duration
-
-	if d.opt.Mode == EvalTable {
-		dl.ports, filterCost = d.tableMatch(frame, dl.ports)
-	} else {
-		dl.ports, filterCost = d.linearMatch(frame, dl.ports)
-	}
-	dl.quarSkip = d.scanQuarSkip
+	dl.ports, filterCost, dl.quarSkip = d.match(frame, dl.ports, arrival, &costs)
 	cost := costs.PfInput + rx.xqCost(dl.ports)
 
 	for _, port := range dl.ports {
@@ -549,17 +536,7 @@ func (rx *rxCtx) deliverOne() {
 	dl := rx.popPending()
 	tr := d.host.Sim().Tracer()
 	if len(dl.ports) == 0 {
-		d.KernelDrops++
-		d.host.Counters.PacketsDropped++
-		d.host.Sim().Counters.PacketsDropped++
-		reason, label := trace.DropNoMatch, "nomatch"
-		if dl.quarSkip {
-			reason, label = trace.DropQuota, "quota"
-		}
-		if tr != nil {
-			tr.Drop(d.host.Clock().Now(), d.host.Name(), label)
-		}
-		tr.SpanDrop(dl.span, d.host.Clock().Now(), d.host.Name(), reason)
+		d.dropUnmatched(tr, d.host.Clock().Now(), dl)
 		return
 	}
 	for i, port := range dl.ports {
@@ -626,12 +603,7 @@ func (rx *rxCtx) inputBurst(frames [][]byte) {
 		dl := rx.pushPending(frame, arrival)
 		dl.span = span
 		var fc time.Duration
-		if d.opt.Mode == EvalTable {
-			dl.ports, fc = d.tableMatch(frame, dl.ports)
-		} else {
-			dl.ports, fc = d.linearMatch(frame, dl.ports)
-		}
-		dl.quarSkip = d.scanQuarSkip
+		dl.ports, fc, dl.quarSkip = d.match(frame, dl.ports, arrival, &costs)
 		filterCost += fc
 		if nDel == 0 {
 			pfCost += costs.PfInput
@@ -675,17 +647,7 @@ func (rx *rxCtx) deliverBurst() {
 	for k := 0; k < n; k++ {
 		dl := rx.popPending()
 		if len(dl.ports) == 0 {
-			d.KernelDrops++
-			d.host.Counters.PacketsDropped++
-			d.host.Sim().Counters.PacketsDropped++
-			reason, label := trace.DropNoMatch, "nomatch"
-			if dl.quarSkip {
-				reason, label = trace.DropQuota, "quota"
-			}
-			if tr != nil {
-				tr.Drop(now, d.host.Name(), label)
-			}
-			tr.SpanDrop(dl.span, now, d.host.Name(), reason)
+			d.dropUnmatched(tr, now, dl)
 			continue
 		}
 		for i, port := range dl.ports {
@@ -706,177 +668,41 @@ func (rx *rxCtx) deliverBurst() {
 	d.wakeScratch = wake[:0]
 }
 
-// linearMatch applies filters in priority order (figure 4-1),
-// appending the accepting ports to dst, and returns the (possibly
-// regrown) slice and the virtual evaluation cost.
-func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) {
-	costs := d.host.Costs()
-	tr := d.host.Sim().Tracer()
-	now := d.host.Clock().Now()
-	var cost time.Duration
-	accepted := dst
-	gov := d.opt.Gov.Enabled
-	d.scanQuarSkip = false
-	for _, port := range d.ports {
-		if port.closed || port.prog == nil {
-			continue
-		}
-		if gov && !port.Admit(now, &d.opt.Gov) {
-			// Quarantined: the filter is skipped outright — no setup
-			// cost, no instruction charges, no chance to match.
-			d.scanQuarSkip = true
-			continue
-		}
-		d.host.Counters.FilterApplied++
-		d.host.Sim().Counters.FilterApplied++
-		if d.curBurst == 0 || port.applyBurst != d.curBurst {
-			// The fixed interpreter-setup cost; within one coalesced
-			// burst it is charged once per port and amortized over
-			// the burst's frames.
-			cost += costs.FilterApply
-			port.applyBurst = d.curBurst
-		}
-
-		accept, instrs := port.Eval(frame)
-		cost += time.Duration(instrs) * costs.FilterInstr
-		d.host.Counters.FilterInstrs += uint64(instrs)
-		d.host.Sim().Counters.FilterInstrs += uint64(instrs)
-		if tr != nil {
-			tr.FilterEval(now, d.host.Name(), port.id, instrs, accept)
-		}
-
-		if !accept {
-			continue
-		}
-		d.host.Counters.PacketsMatched++
-		d.host.Sim().Counters.PacketsMatched++
-		accepted = append(accepted, port)
-		if !port.copyAll {
-			// A non-copy-all accept ends the scan: later filters — even
-			// at the same priority — do not see the packet.  Priority
-			// ties resolve deterministically to the first accepting
-			// port in the current scan order (priority descending,
-			// busy-first within a priority), which is what makes the
-			// §3.2 busy-first reordering pay off.  A copy-all accept
-			// instead lets the packet continue to every later filter,
-			// which is how monitors coexist with the monitored.
-			// tableMatch implements the identical rule over the same
-			// port order; the linear/table equivalence property pins
-			// it.
-			break
-		}
-	}
-	return accepted, cost
+// match runs the §3.2 match (TableIndex.Match) for a frame that
+// arrived at now and prices its tally with the host's costs: the
+// virtual evaluation cost — FilterApply per setup owed, FilterInstr per
+// unit of work and per unit of table construction the frame waited on —
+// and the host and simulator filter counters.
+func (d *Device) match(frame []byte, dst []*Port, now time.Duration, costs *vtime.Costs) ([]*Port, time.Duration, bool) {
+	// Filled in place: a composite literal of this size is built in a
+	// temporary and copied.
+	var m Match
+	m.Now, m.Burst, m.Tracer, m.Host = now, d.curBurst, d.host.Sim().Tracer(), d.host.Name()
+	ports := d.Match(frame, dst, &m)
+	return ports, d.price(&m.Tally, len(ports)-len(dst), costs), m.QuarSkip
 }
 
-// tableMatch uses the merged decision table.  v2 splits the work in
-// two: the table answers "which filters can accept this frame" (one
-// tree walk plus lazily evaluated flat-code fallbacks), while the
-// device drives the scan in the same order as linearMatch — priority
-// descending, busy-first within a priority — stopping at the first
-// non-copy-all accept, exactly like the linear rule.  Scan order
-// therefore never lives inside the table, which is what lets Reorder
-// and sortPort leave the table untouched.  BeginMatch picks the ports
-// to visit (only the candidates with the governor off, every port with
-// it on) and Reach applies the governor and answers for each visited
-// port; one loop body serves both.
-//
-// Virtual cost: one FilterApply for starting the walk (amortized over
-// a coalesced burst like the linear path's per-port setup) plus one
-// FilterInstr per unit of work the match actually did — each
-// decision-tree node whose packet word was examined, plus every
-// instruction the fallbacks the scan actually reached interpreted
-// (fallbacks past the stopping port are never run, mirroring the
-// linear early exit).  Fallback filters charge their own interpreter
-// runs; the tree walk's path depth is split evenly across the reached
-// tree-accepting ports (remainder to the first; port -1 only when the
-// walk's work benefited no reached port).
-//
-// The snapshot BeginMatch takes keeps this packet's view consistent
-// while governor transitions publish a patched table for the next one.
-func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) {
-	costs := d.host.Costs()
-	tr := d.host.Sim().Tracer()
-	now := d.host.Clock().Now()
-	d.scanQuarSkip = false
-	var stall time.Duration
-	if d.table == nil {
-		// A rebuild on the packet path is a stall: the frame waits
-		// while the kernel recompiles the whole filter set.  Charge its
-		// work at instruction rate so churn under Options.FullRebuild
-		// shows up in per-packet cost and tail latency; incremental
-		// patches run at setfilter/close time, off this path.
-		w0 := d.tableWork
-		d.rebuildTable()
-		stall = time.Duration(d.tableWork-w0) * costs.FilterInstr
-		d.tableStall += stall
+// price turns a match tally with matched accepting ports into virtual
+// CPU and counters.  A table rebuilt on the match path (the
+// full-rebuild baseline) is a stall: its work is charged at instruction
+// rate so churn shows up in per-packet cost and tail latency.
+func (d *Device) price(t *Tally, matched int, costs *vtime.Costs) time.Duration {
+	stall := time.Duration(t.Rebuild) * costs.FilterInstr
+	d.tableStall += stall
+	for _, c := range [2]*vtime.Counters{&d.host.Counters, &d.host.Sim().Counters} {
+		c.FilterApplied += uint64(t.Applied)
+		c.FilterInstrs += uint64(t.Units)
+		c.PacketsMatched += uint64(matched)
 	}
-	tbl, visit, edges := d.BeginMatch(frame)
-	total := edges
+	return time.Duration(t.Setups)*costs.FilterApply + time.Duration(t.Units)*costs.FilterInstr + stall
+}
 
-	accepted, treeAccepts := dst, d.treeScratch[:0]
-	for _, port := range visit {
-		quar, accept, ran, instrs := d.Reach(port, &port.Binding, tbl, frame, now)
-		if quar {
-			// Quarantined: skipped outright, no setup cost, no
-			// instruction charges, no chance to match.
-			d.scanQuarSkip = true
-			continue
-		}
-		if ran {
-			total += instrs
-			if tr != nil {
-				tr.FilterEval(now, d.host.Name(), port.id, instrs, accept)
-			}
-		} else if accept {
-			treeAccepts = append(treeAccepts, port)
-		}
-		if !accept {
-			continue
-		}
-		d.host.Counters.PacketsMatched++
-		d.host.Sim().Counters.PacketsMatched++
-		accepted = append(accepted, port)
-		if !port.copyAll {
-			// Same rule as linearMatch: a non-copy-all accept ends the
-			// scan; ports past this point are not reached at all.
-			break
-		}
-	}
-
-	switch {
-	case len(treeAccepts) > 0:
-		share := edges / len(treeAccepts)
-		extra := edges % len(treeAccepts)
-		for k, port := range treeAccepts {
-			in := share
-			if k < extra {
-				in++
-			}
-			port.Charge(in)
-			if tr != nil {
-				tr.FilterEval(now, d.host.Name(), port.id, in, true)
-			}
-		}
-	case edges > 0:
-		// The walk's work benefited no reached port; it stays
-		// device-level.
-		if tr != nil {
-			tr.FilterEval(now, d.host.Name(), -1, edges, false)
-		}
-	}
-	d.treeScratch = treeAccepts[:0]
-
-	cost := time.Duration(total)*costs.FilterInstr + stall
-	if d.curBurst == 0 || d.tableBurst != d.curBurst {
-		cost += costs.FilterApply
-		d.tableBurst = d.curBurst
-	}
-	d.host.Counters.FilterApplied++
-	d.host.Sim().Counters.FilterApplied++
-	d.host.Counters.FilterInstrs += uint64(total)
-	d.host.Sim().Counters.FilterInstrs += uint64(total)
-	return accepted, cost
+// dropUnmatched accounts a pending frame no port accepted.
+func (d *Device) dropUnmatched(tr *trace.Tracer, now time.Duration, dl delivery) {
+	d.KernelDrops++
+	d.host.Counters.PacketsDropped++
+	d.host.Sim().Counters.PacketsDropped++
+	DropUnmatched(tr, now, d.host.Name(), dl.span, dl.quarSkip)
 }
 
 // TableStall returns the cumulative virtual time packets have spent

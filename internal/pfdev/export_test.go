@@ -5,3 +5,22 @@ import "time"
 // govAdmit is the governor's admission check under the name the
 // backoff tests use.
 func (g *PortGov) govAdmit(now time.Duration, cfg *GovConfig) bool { return g.Admit(now, cfg) }
+
+// linearMatch and tableMatch run one scan kind whatever the device's
+// evaluation mode, priced like a received frame's match, so the tests
+// can hold the two against each other on one device.
+func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) {
+	m, costs := d.testMatch(), d.host.Costs()
+	ports := d.portIndex.linearMatch(frame, dst, &m)
+	return ports, d.price(&m.Tally, len(ports)-len(dst), &costs)
+}
+
+func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) {
+	m, costs := d.testMatch(), d.host.Costs()
+	ports := d.portIndex.tableMatch(frame, dst, &m)
+	return ports, d.price(&m.Tally, len(ports)-len(dst), &costs)
+}
+
+func (d *Device) testMatch() Match {
+	return Match{Now: d.host.Clock().Now(), Burst: d.curBurst, Tracer: d.host.Sim().Tracer(), Host: d.host.Name()}
+}

@@ -283,16 +283,16 @@ func TestAdmissionHysteresis(t *testing.T) {
 	if !d.shedding {
 		t.Fatal("controller not shedding at backlog 20 >> high watermark 8")
 	}
-	if port.qlen() != gov.AdmissionHigh {
+	if port.Len() != gov.AdmissionHigh {
 		t.Errorf("queue grew to %d; admission should have capped it at %d",
-			port.qlen(), gov.AdmissionHigh)
+			port.Len(), gov.AdmissionHigh)
 	}
 	sheds := sp.Drops[trace.DropAdmission]
 	if sheds == 0 {
 		t.Fatal("no DropAdmission despite shedding")
 	}
 	// Draining to one above the low watermark must not reopen intake…
-	for port.qlen() > gov.AdmissionLow+1 {
+	for port.Len() > gov.AdmissionLow+1 {
 		port.queued()[0] = Packet{}
 		port.popFront(1)
 	}
@@ -306,8 +306,8 @@ func TestAdmissionHysteresis(t *testing.T) {
 	if d.shedding {
 		t.Fatal("controller still shedding at the low watermark")
 	}
-	if port.qlen() != gov.AdmissionLow+1 {
-		t.Errorf("post-recovery qlen = %d, want %d", port.qlen(), gov.AdmissionLow+1)
+	if port.Len() != gov.AdmissionLow+1 {
+		t.Errorf("post-recovery qlen = %d, want %d", port.Len(), gov.AdmissionLow+1)
 	}
 	gs := GovStats{}
 	s.Spawn(ha, "stat", func(p *sim.Proc) { gs = d.GovStats(p) })

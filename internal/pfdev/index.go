@@ -5,14 +5,19 @@ package pfdev
 // Binding is one port's bound filter (compiled per evaluation mode, its
 // place in the scan order and the decision table, its counters and its
 // governor bucket), and TableIndex is the device's scan order plus the
-// published decision table with its slot→port scan index.  Each device
-// embeds these and keeps only its own clock, queues and match loops.
+// published decision table with its slot→port scan index.
+// TableIndex.Match is the one §3.2 match loop per scan kind; it returns
+// a Tally of the work done, which the simulated device prices in
+// virtual CPU and the live one ignores.  Each device embeds these and
+// the port queue (PortQueue, queue.go) and keeps only its own clock,
+// locking and blocking reads.
 
 import (
 	"slices"
 	"time"
 
 	"repro/internal/filter"
+	"repro/internal/trace"
 )
 
 // bindCfg is the device-wide half of a binding: how filters are
@@ -30,8 +35,13 @@ type bindCfg struct {
 type Binding struct {
 	prog    filter.Program
 	cfg     bindCfg
+	id      int
+	copyAll bool
 	matches uint64 // packets accepted (for busy-first reordering)
 	instrs  uint64 // filter instruction units charged to this port
+	// applyBurst is the coalesced burst that last paid this port's
+	// fixed FilterApply setup in a linear scan.
+	applyBurst uint64
 
 	// slot is the port's stable slot in the published decision table,
 	// -1 while not resident (no filter bound, quarantined out, or the
@@ -130,6 +140,13 @@ func (b *Binding) Charge(units int) {
 	}
 }
 
+// ID returns the port's device-unique id.
+func (b *Binding) ID() int { return b.id }
+
+// SetCopyAll sets whether a packet this port accepts also continues to
+// lower-priority filters (§3.2).
+func (b *Binding) SetCopyAll(on bool) { b.copyAll = on }
+
 // Bound reports whether a filter is bound.
 func (b *Binding) Bound() bool { return b.prog != nil }
 
@@ -144,6 +161,7 @@ func (b *Binding) Priority() uint8 { return b.priority }
 // accounting.  The device fills in the rest.
 func (b *Binding) FilterStats() PortStats {
 	return PortStats{
+		ID:              b.id,
 		Priority:        b.priority,
 		Matched:         b.matches,
 		FilterInstrs:    b.instrs,
@@ -182,8 +200,9 @@ type TableIndex[P any] struct {
 	// exp-churn baseline (pfdev's Options.FullRebuild).
 	full bool
 
-	ports []P        // sorted: priority desc, busy-first within priority
-	binds []*Binding // binds[i] is ports[i]'s
+	ports  []P        // sorted: priority desc, busy-first within priority
+	binds  []*Binding // binds[i] is ports[i]'s
+	nextID int
 
 	table      *filter.Table
 	slotPort   []P
@@ -191,9 +210,14 @@ type TableIndex[P any] struct {
 	rankDirty  bool
 	matchSeq   uint64
 	scanVisits uint64
+	// tableBurst is the coalesced burst that last paid the table walk's
+	// fixed FilterApply setup.
+	tableBurst uint64
 
 	slotScratch []int
 	scanScratch []P
+	bindScratch []*Binding
+	treeScratch []*Binding
 
 	// Table-maintenance accounting (deterministic units from
 	// filter.Table.Work): TableBuilds counts from-scratch builds,
@@ -215,11 +239,14 @@ func (x *TableIndex[P]) Setup(mode EvalMode, ext bool, env filter.Env, gov *GovC
 	x.full = fullRebuild
 }
 
-// AddPort appends a newly opened port to the scan order.  Its bucket
-// starts full at now; rebinding a filter deliberately does not refill
-// it, so a hostile port cannot launder its debt through SetFilter.
+// AddPort numbers a newly opened port and appends it to the scan
+// order.  Its bucket starts full at now; rebinding a filter
+// deliberately does not refill it, so a hostile port cannot launder its
+// debt through SetFilter.
 func (x *TableIndex[P]) AddPort(p P, b *Binding, now time.Duration) {
 	b.cfg = x.cfg
+	b.id = x.nextID
+	x.nextID++
 	b.slot = -1
 	b.tableActive = true
 	if x.cfg.gov {
@@ -271,83 +298,222 @@ func (x *TableIndex[P]) Bind(p P, b *Binding, f filter.Filter, open bool) error 
 	return nil
 }
 
-// BeginMatch starts a table-mode match on frame: it snapshots the
-// published table (building one if there is none), stamps the ports
-// the decision tree accepted, and returns the snapshot, the ports the
-// scan visits in scan order, and the tree walk's edge count.  With the
-// governor off only the table's candidates (tree accepts and
-// fallbacks) can be affected by the frame, so the scan visits just
-// those, at O(accepts + fallbacks) instead of O(ports).  With it on,
-// admission is decided at the moment each port is reached — quarSkips,
-// lazy refill, quarantine entry and exit, table patches — so every
-// port is visited.
-func (x *TableIndex[P]) BeginMatch(frame []byte) (tbl *filter.Table, visit []P, edges int) {
-	if x.table == nil {
-		x.rebuildTable()
+// Match is one §3.2 match pass: the caller's clock reading, the
+// coalesced burst being matched (0 outside a burst) and where
+// FilterEval traces go, and on return the Tally of the work done.
+type Match struct {
+	Now    time.Duration
+	Burst  uint64
+	Tracer *trace.Tracer
+	Host   string
+	Tally
+}
+
+// Tally is what a match pass did, in the units the simulated device
+// prices (§6.1): filters applied, the fixed FilterApply setups still
+// owed after burst amortization, instruction units interpreted plus
+// decision-tree edges walked, and decision-table construction work done
+// on the match path.  QuarSkip reports that a quarantined filter was
+// skipped, so a no-match outcome is the governor's doing (DropQuota).
+type Tally struct {
+	Applied  int
+	Setups   int
+	Units    int
+	Rebuild  uint64
+	QuarSkip bool
+}
+
+// Match applies the §3.2 rule to frame (figure 4-1): the bound filters
+// in scan order — priority descending, busy-first within a priority —
+// with the governor admitting each at the moment it is reached, until
+// the first accepting port that is not copy-all.  It appends the
+// accepting ports to dst and fills m.Tally.  The evaluation mode picks
+// the scan: every filter in turn, or the decision table naming the
+// candidates.
+func (x *TableIndex[P]) Match(frame []byte, dst []P, m *Match) []P {
+	m.Tally = Tally{}
+	if x.cfg.mode == EvalTable {
+		return x.tableMatch(frame, dst, m)
 	}
-	tbl = x.table
+	return x.linearMatch(frame, dst, m)
+}
+
+// linearMatch runs every bound filter in scan order.  A quarantined
+// filter is skipped outright — no setup, no instruction charges, no
+// chance to match.  Within one coalesced burst a port's FilterApply
+// setup is owed once and amortized over the burst's frames.
+func (x *TableIndex[P]) linearMatch(frame []byte, dst []P, m *Match) []P {
+	accepted, gov, amortized := dst, x.cfg.gov, 0
+	for i, b := range x.binds {
+		if b.prog == nil {
+			continue
+		}
+		if gov && !b.Admit(m.Now, x.gov) {
+			m.QuarSkip = true
+			continue
+		}
+		m.Applied++
+		if m.Burst != 0 {
+			if b.applyBurst == m.Burst {
+				amortized++
+			} else {
+				b.applyBurst = m.Burst
+			}
+		}
+		accept, instrs := b.Eval(frame)
+		m.Units += instrs
+		if m.Tracer != nil {
+			m.Tracer.FilterEval(m.Now, m.Host, b.id, instrs, accept)
+		}
+		if !accept {
+			continue
+		}
+		accepted = append(accepted, x.ports[i])
+		if !b.copyAll {
+			// A non-copy-all accept ends the scan: later filters — even
+			// at the same priority — do not see the packet.  Priority
+			// ties resolve deterministically to the first accepting
+			// port in the current scan order, which is what makes the
+			// §3.2 busy-first reordering pay off.  A copy-all accept
+			// instead lets the packet continue to every later filter,
+			// which is how monitors coexist with the monitored.
+			break
+		}
+	}
+	m.Setups = m.Applied - amortized
+	return accepted
+}
+
+// tableMatch uses the merged decision table.  The table answers "which
+// filters can accept this frame" (one tree walk plus lazily evaluated
+// flat-code fallbacks), while the scan runs in the same order and stops
+// by the same rule as linearMatch.  Scan order therefore never lives
+// inside the table, which is what lets Reorder and sortPort leave the
+// table untouched.  The match's snapshot of the published table stays
+// consistent while governor transitions publish patched tables for the
+// next frame.
+//
+// Work: one FilterApply setup for the walk (amortized over a coalesced
+// burst like the linear per-port setup) plus one unit per decision-tree
+// node whose packet word was examined and per instruction the reached
+// fallbacks interpreted (fallbacks past the stopping port never run).
+// Fallbacks charge their own runs; the walk's edges are split evenly
+// across the reached tree-accepting ports (remainder to the first;
+// port -1 in the trace when the walk benefited no reached port).  A
+// table built from scratch here, under the full-rebuild baseline, is a
+// stall the frame waits on: its construction work goes in the tally.
+func (x *TableIndex[P]) tableMatch(frame []byte, dst []P, m *Match) []P {
+	if x.table == nil {
+		w0 := x.tableWork
+		x.rebuildTable()
+		m.Rebuild = x.tableWork - w0
+	}
+	tbl := x.table
 	slots, tree, edges := tbl.Candidates(frame)
 	x.matchSeq++
 	for _, slot := range slots[:tree] {
 		x.slotBind[slot].treeHit = x.matchSeq
 	}
-	if x.cfg.gov {
-		return tbl, x.ports, edges
+	// With the governor off only the table's candidates (tree accepts
+	// and fallbacks) can be affected by the frame, so the scan visits
+	// just those, at O(accepts + fallbacks) instead of O(ports).  With
+	// it on, admission is decided at the moment each port is reached,
+	// so every port is visited.
+	visit, binds := x.ports, x.binds
+	if !x.cfg.gov {
+		visit, binds = x.scanSet(slots)
 	}
-	return tbl, x.scanSet(slots), edges
-}
+	m.Units = edges
 
-// Reach is the table scan's step for one visited port p (bound b),
-// against the match's snapshot tbl.  It applies the governor at the
-// moment of reach: a port denied admission is patched out of the
-// published table (its filter becomes unreachable, like a closed
-// port's) and reported quar; a forgiven port is patched back in, its
-// transition packet evaluated against its own flat code since the
-// snapshot cannot answer for it.  Otherwise accept is the port's
-// verdict, counted as a match; ran reports a flat-code run of instrs
-// units, already charged to the port, as opposed to a decision-tree
-// accept, which the caller charges a share of the walk's edges.
-func (x *TableIndex[P]) Reach(p P, b *Binding, tbl *filter.Table, frame []byte, now time.Duration) (quar, accept, ran bool, instrs int) {
-	x.scanVisits++
-	if b.prog == nil {
-		return false, false, false, 0
-	}
-	// The slot this port held in the snapshot, before any transition
-	// this step performs on it (slots are stable under patching, so
-	// other ports' transitions cannot move it).
-	slot := b.slot
-	if x.cfg.gov {
-		if !b.Admit(now, x.gov) {
-			if b.tableActive {
-				b.tableActive = false
-				x.tableRemovePort(b)
+	accepted, treeAccepts := dst, x.treeScratch[:0]
+	for i, p := range visit {
+		b := binds[i]
+		x.scanVisits++
+		if b.prog == nil {
+			continue
+		}
+		// The slot this port held in the snapshot, before any transition
+		// this step performs on it (slots are stable under patching, so
+		// other ports' transitions cannot move it).
+		slot := b.slot
+		if x.cfg.gov {
+			if !b.Admit(m.Now, x.gov) {
+				// Denied: its filter is patched out of the published
+				// table, unreachable like a closed port's.
+				if b.tableActive {
+					b.tableActive = false
+					x.tableRemovePort(b)
+				}
+				m.QuarSkip = true
+				continue
 			}
-			return true, false, false, 0
+			if !b.tableActive {
+				// Forgiven: patched back in.  The snapshot cannot answer
+				// for this transition packet, so the port's own flat code
+				// evaluates it.
+				b.tableActive = true
+				x.tableInsertPort(p, b)
+			}
 		}
-		if !b.tableActive {
-			b.tableActive = true
-			x.tableInsertPort(p, b)
+		accept, fp := false, b.fp
+		if slot >= 0 {
+			if fp = tbl.Fallback(slot); fp == nil {
+				accept = b.treeHit == x.matchSeq
+			}
 		}
-	}
-	fp := b.fp
-	if slot >= 0 {
-		if fp = tbl.Fallback(slot); fp == nil {
-			accept = b.treeHit == x.matchSeq
+		if fp != nil {
+			r := fp.Run(frame)
+			accept = r.Accept
+			b.Charge(r.Instrs)
+			m.Units += r.Instrs
+			if m.Tracer != nil {
+				m.Tracer.FilterEval(m.Now, m.Host, b.id, r.Instrs, accept)
+			}
+		} else if accept {
+			treeAccepts = append(treeAccepts, b)
 		}
-	}
-	if fp != nil {
-		r := fp.Run(frame)
-		accept, instrs, ran = r.Accept, r.Instrs, true
-		b.Charge(instrs)
-	}
-	if accept {
+		if !accept {
+			continue
+		}
 		b.matches++
+		accepted = append(accepted, p)
+		if !b.copyAll {
+			break
+		}
 	}
-	return false, accept, ran, instrs
+
+	switch {
+	case len(treeAccepts) > 0:
+		share := edges / len(treeAccepts)
+		extra := edges % len(treeAccepts)
+		for k, b := range treeAccepts {
+			in := share
+			if k < extra {
+				in++
+			}
+			b.Charge(in)
+			if m.Tracer != nil {
+				m.Tracer.FilterEval(m.Now, m.Host, b.id, in, true)
+			}
+		}
+	case edges > 0:
+		if m.Tracer != nil {
+			m.Tracer.FilterEval(m.Now, m.Host, -1, edges, false)
+		}
+	}
+	x.treeScratch = treeAccepts[:0]
+
+	m.Applied = 1
+	if m.Burst == 0 || x.tableBurst != m.Burst {
+		m.Setups = 1
+		x.tableBurst = m.Burst
+	}
+	return accepted
 }
 
-// scanSet maps a match's candidate slots to their ports in scan order.
-func (x *TableIndex[P]) scanSet(slots []int) []P {
+// scanSet maps a match's candidate slots to their ports and bindings
+// in scan order.
+func (x *TableIndex[P]) scanSet(slots []int) ([]P, []*Binding) {
 	if x.rankDirty {
 		for i, b := range x.binds {
 			b.rank = i
@@ -356,12 +522,13 @@ func (x *TableIndex[P]) scanSet(slots []int) []P {
 	}
 	order := append(x.slotScratch[:0], slots...)
 	slices.SortFunc(order, func(a, b int) int { return x.slotBind[a].rank - x.slotBind[b].rank })
-	set := x.scanScratch[:0]
+	set, binds := x.scanScratch[:0], x.bindScratch[:0]
 	for _, slot := range order {
 		set = append(set, x.slotPort[slot])
+		binds = append(binds, x.slotBind[slot])
 	}
-	x.slotScratch, x.scanScratch = order[:0], set[:0]
-	return set
+	x.slotScratch, x.scanScratch, x.bindScratch = order[:0], set[:0], binds[:0]
+	return set, binds
 }
 
 // rebuildTable compiles the full filter set from scratch — the first

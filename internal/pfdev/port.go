@@ -1,7 +1,6 @@
 package pfdev
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -10,73 +9,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Packet is one received packet as returned by Read: the complete
-// frame including the data-link header ("The entire packet, including
-// the data-link layer header, is returned, so that user programs may
-// implement protocols that depend on header information", §3), plus
-// the optional timestamp and the cumulative drop count (§3.3).
-type Packet struct {
-	Data  []byte
-	Stamp time.Duration // reception time; zero unless stamping enabled
-	Drops uint64        // packets lost on this port up to this packet
-
-	// arrived is when the frame entered the packet-filter input path,
-	// the start of the arrival-to-delivery latency the tracer reports.
-	arrived time.Duration
-
-	// slot, when non-zero, is 1 + the ring receive slot holding Data.
-	// The slot stays reserved — free for neither deposit nor reuse —
-	// until the packet is copied out (Read/ReadBatch) or, after a
-	// reap, until the process's next drain syscall reclaims it.
-	slot int
-
-	// span is the packet's provenance span (0 when untracked).
-	span uint64
-
-	// qAt is when the packet entered the port queue; delivery
-	// subtracts it to feed the port's queue-residency accounting.
-	qAt time.Duration
-}
-
-// Span returns the packet's provenance span id (0 when untracked), so
-// user-level protocol code can link its own verdicts — checksum
-// rejects, routing failures — back into the packet's causal tree.
-func (pkt Packet) Span() uint64 { return pkt.span }
-
 // Port is one packet-filter port, opened by a process as a character
 // special device.
 type Port struct {
 	dev *Device
-	id  int
 
 	// Binding is the bound filter, its scan-index place, its match
-	// counters and its governor bucket (index.go, gov.go).
+	// counters and its governor bucket (index.go, gov.go); PortQueue is
+	// the input queue and its accounting (queue.go).
 	Binding
-
-	// queue is head-indexed: qhead marks the first undelivered packet
-	// and dequeues advance it instead of re-slicing, so the backing
-	// array's capacity survives and the steady-state receive path
-	// allocates nothing.
-	queue      []Packet
-	qhead      int
-	queueLimit int
-	maxQueued  int // high-water mark of the input queue
-	dropped    uint64
+	PortQueue
 
 	timeout  time.Duration // 0: block forever; <0: non-blocking
 	batchMax int           // ReadBatch upper bound; 0 = unlimited
-	copyAll  bool
-	stamp    bool
 	closed   bool
 
-	reads   uint64 // successful Read calls
-	batches uint64 // successful ReadBatch calls
-	batched uint64 // packets returned by ReadBatch
-
-	// applyBurst is the coalesced burst that last charged this port's
-	// fixed FilterApply setup; wakePending marks the port as already
-	// collected for this burst's once-per-port reader wakeup.
-	applyBurst  uint64
+	// wakePending marks the port as already collected for a coalesced
+	// burst's once-per-port reader wakeup.
 	wakePending bool
 
 	// lastRxQ is the receive queue that last delivered to this port
@@ -84,11 +33,6 @@ type Port struct {
 	// queue charges the cross-queue XQDeliver penalty.  Unused on a
 	// single-queue device.
 	lastRxQ int
-
-	// Queue-residency accounting: total and count of time delivered
-	// packets spent on the input queue.
-	qresSum time.Duration
-	qresN   uint64
 
 	// ring, when non-nil, is the mapped shared-memory ring (ring.go);
 	// the counters below split delivery between the two paths.
@@ -99,35 +43,17 @@ type Port struct {
 	bytesMapped uint64 // payload bytes delivered or sent in place
 	descErrors  uint64 // hostile/malformed ring descriptors rejected
 
-	qGauge *trace.Gauge // cached tracer gauge for queue depth
-
-	// spanDropCtrs caches the per-port drop-taxonomy counters
-	// ("pf.port<id>.span_drop.<reason>") so steady-state drops do not
-	// build counter names.
-	spanDropCtrs [trace.NumDropReasons]*trace.Counter
-
 	privileged bool // may bind filters above PrivilegedPriority
 
 	readers  *sim.WaitQ
 	watchers []*sim.WaitQ // Select subscribers
 }
 
-// DefaultQueueLimit bounds a port's input queue unless configured
-// otherwise (§3.3: the user controls "the maximum length of the
-// per-port input queue").
-const DefaultQueueLimit = 32
-
 // Open opens a new port on the device.  Process context.
 func (d *Device) Open(p *sim.Proc) *Port {
 	p.Syscall("pf")
-	port := &Port{
-		dev:        d,
-		id:         d.nextID,
-		queueLimit: DefaultQueueLimit,
-		readers:    d.host.Sim().NewWaitQ(),
-		lastRxQ:    -1,
-	}
-	d.nextID++
+	port := &Port{dev: d, readers: d.host.Sim().NewWaitQ(), lastRxQ: -1}
+	port.InitQueue(d.host.Name(), &d.queuedTotal)
 	d.AddPort(port, &port.Binding, d.host.Clock().Now())
 	return port
 }
@@ -169,10 +95,7 @@ func (port *Port) SetTimeout(p *sim.Proc, d time.Duration) {
 // SetQueueLimit sets the maximum per-port input queue length.
 func (port *Port) SetQueueLimit(p *sim.Proc, n int) {
 	p.Syscall("pf")
-	if n < 1 {
-		n = 1
-	}
-	port.queueLimit = n
+	port.PortQueue.SetQueueLimit(n)
 }
 
 // SetCopyAll requests that packets accepted by this port's filter also
@@ -186,7 +109,7 @@ func (port *Port) SetCopyAll(p *sim.Proc, on bool) {
 // costs the kernel a microtime() call (§7).
 func (port *Port) SetStamp(p *sim.Proc, on bool) {
 	p.Syscall("pf")
-	port.stamp = on
+	port.PortQueue.SetStamp(on)
 }
 
 // SetBatchMax bounds how many packets one ReadBatch may return; 0
@@ -194,35 +117,6 @@ func (port *Port) SetStamp(p *sim.Proc, on bool) {
 func (port *Port) SetBatchMax(p *sim.Proc, n int) {
 	p.Syscall("pf")
 	port.batchMax = n
-}
-
-// queued returns the live (undelivered) packets in queue order.
-func (port *Port) queued() []Packet { return port.queue[port.qhead:] }
-
-// qlen returns the input-queue depth.
-func (port *Port) qlen() int { return len(port.queue) - port.qhead }
-
-// popFront consumes n packets from the queue head, clearing consumed
-// slots (so delivered frames are not retained by the kernel) and
-// recycling the backing array once drained or mostly consumed.
-func (port *Port) popFront(n int) {
-	for i := port.qhead; i < port.qhead+n; i++ {
-		port.queue[i] = Packet{}
-	}
-	port.qhead += n
-	port.dev.queuedTotal -= n
-	switch {
-	case port.qhead == len(port.queue):
-		port.queue = port.queue[:0]
-		port.qhead = 0
-	case port.qhead >= 32 && 2*port.qhead >= len(port.queue):
-		kept := copy(port.queue, port.queue[port.qhead:])
-		for i := kept; i < len(port.queue); i++ {
-			port.queue[i] = Packet{}
-		}
-		port.queue = port.queue[:kept]
-		port.qhead = 0
-	}
 }
 
 // enqueue adds a packet to the port queue and wakes readers (kernel
@@ -234,49 +128,27 @@ func (port *Port) enqueue(frame []byte, arrived time.Duration, span uint64) {
 	}
 }
 
-// spanDropCounter returns (caching) the per-port taxonomy counter for
-// one drop reason.
-func (port *Port) spanDropCounter(tr *trace.Tracer, reason trace.DropReason) *trace.Counter {
-	c := port.spanDropCtrs[reason]
-	if c == nil {
-		c = tr.Counter(port.dev.host.Name(),
-			fmt.Sprintf("pf.port%d.span_drop.%s", port.id, reason))
-		port.spanDropCtrs[reason] = c
-	}
-	return c
-}
-
 // enqueueQuiet adds a packet to the port queue without waking readers,
 // reporting whether it was queued (false: dropped on overflow).  The
 // coalesced input path enqueues a whole burst and then wakes each
 // port's readers once.
 func (port *Port) enqueueQuiet(frame []byte, arrived time.Duration, span uint64) bool {
 	h := port.dev.host
-	limit := port.queueLimit
-	if c := port.dev.queueCap; c > 0 && c < limit {
-		limit = c
-	}
+	tr := h.Sim().Tracer()
+	now := h.Clock().Now()
 	r := port.ring
-	if port.qlen() >= limit || (r != nil && len(r.free) == 0) {
+	if full := port.Full(port.dev.queueCap); full || (r != nil && len(r.free) == 0) {
 		// A mapped ring can hold one frame per slot, and slots stay
 		// reserved while queued *or* lent out to a reaping process;
 		// with none free, overflow drops exactly like a full input
 		// queue rather than overwriting a frame still being read.
 		reason := trace.DropPortQueue
-		if r != nil && len(r.free) == 0 && port.qlen() < limit {
+		if !full {
 			reason = trace.DropRingSlots
 		}
-		port.dropped++
 		h.Counters.PacketsDropped++
 		h.Sim().Counters.PacketsDropped++
-		if tr := h.Sim().Tracer(); tr != nil {
-			tr.Drop(h.Clock().Now(), h.Name(), "queue")
-			if span != 0 {
-				port.spanDropCounter(tr, reason).Add(1)
-			}
-			tr.SpanDrop(span, h.Clock().Now(), h.Name(), reason)
-			tr.SpanPort(span, port.id)
-		}
+		port.Overflow(tr, now, port.id, span, reason)
 		return false
 	}
 	var slot int
@@ -286,23 +158,7 @@ func (port *Port) enqueueQuiet(frame []byte, arrived time.Duration, span uint64)
 		// moves no data.
 		frame, slot = r.deposit(frame)
 	}
-	pkt := Packet{Data: frame, Drops: port.dropped, arrived: arrived, slot: slot, span: span,
-		qAt: h.Clock().Now()}
-	if port.stamp {
-		pkt.Stamp = h.Clock().Now()
-	}
-	port.queue = append(port.queue, pkt)
-	port.dev.queuedTotal++
-	if port.qlen() > port.maxQueued {
-		port.maxQueued = port.qlen()
-	}
-	if tr := h.Sim().Tracer(); tr != nil {
-		port.depthGauge(tr).Set(int64(port.qlen()))
-		tr.Enqueue(h.Clock().Now(), h.Name(), port.id, port.qlen())
-	}
-	tr := h.Sim().Tracer()
-	tr.SpanMark(span, trace.StageQueue, h.Clock().Now())
-	tr.SpanPort(span, port.id)
+	port.Push(tr, now, port.id, frame, arrived, span).slot = slot
 	return true
 }
 
@@ -313,15 +169,6 @@ func (port *Port) wakeReaders() {
 	for _, w := range port.watchers {
 		w.WakeOne(h)
 	}
-}
-
-// depthGauge returns (caching) the tracer gauge for this port's queue
-// depth.
-func (port *Port) depthGauge(tr *trace.Tracer) *trace.Gauge {
-	if port.qGauge == nil {
-		port.qGauge = tr.Gauge(port.dev.host.Name(), fmt.Sprintf("pf.port%d.depth", port.id))
-	}
-	return port.qGauge
 }
 
 // Read returns the first queued packet, blocking per the port timeout.
@@ -337,47 +184,48 @@ func (port *Port) depthGauge(tr *trace.Tracer) *trace.Gauge {
 // (sim events at equal times run in scheduling order) and is pinned by
 // TestReadTimeoutVsSameTickDelivery.
 func (port *Port) Read(p *sim.Proc) (Packet, error) {
-	if port.closed {
-		return Packet{}, ErrClosed
+	if err := port.enterRead(p, "pfread"); err != nil {
+		return Packet{}, err
 	}
-	p.Syscall("pfread")
-	if r := port.ring; r != nil {
-		r.reclaim()
-	}
-	for port.qlen() == 0 {
-		if port.timeout < 0 {
-			return Packet{}, ErrWouldBlock
-		}
-		if !p.Wait(port.readers, port.timeout) {
-			return Packet{}, ErrTimeout
-		}
-		if port.closed {
-			return Packet{}, ErrClosed
-		}
-	}
-	pkt := port.queue[port.qhead]
-	port.popFront(1)
-	port.qresSum += p.Now() - pkt.qAt
-	port.qresN++
+	pkt := port.TakeOne(p.Now())
 	if r := port.ring; r != nil && pkt.slot > 0 {
 		// Read copies the frame out of its ring slot; the slot frees
 		// immediately.
 		r.free = append(r.free, pkt.slot-1)
 		pkt.slot = 0
 	}
-	port.reads++
 	port.bytesCopied += uint64(len(pkt.Data))
 	p.CopyOut("pfread", len(pkt.Data))
 	if tr := p.Sim().Tracer(); tr != nil {
-		h := port.dev.host
-		now := p.Now()
-		tr.PortCopied(h.Name(), len(pkt.Data))
-		port.depthGauge(tr).Set(int64(port.qlen()))
-		tr.Dequeue(now, h.Name(), port.id, port.qlen(), 1)
-		tr.Deliver(now, h.Name(), port.id, now-pkt.arrived)
-		tr.SpanDelivered(pkt.span, now, h.Name(), port.id)
+		tr.PortCopied(port.dev.host.Name(), len(pkt.Data))
+		port.Delivered(tr, p.Now(), port.id, pkt)
 	}
 	return pkt, nil
+}
+
+// enterRead is a read's kernel entry: the system call charged under
+// tag, the ring's lent slots reclaimed, and the wait for a queued
+// packet under the port's timeout.
+func (port *Port) enterRead(p *sim.Proc, tag string) error {
+	if port.closed {
+		return ErrClosed
+	}
+	p.Syscall(tag)
+	if r := port.ring; r != nil {
+		r.reclaim()
+	}
+	for port.Len() == 0 {
+		if port.timeout < 0 {
+			return ErrWouldBlock
+		}
+		if !p.Wait(port.readers, port.timeout) {
+			return ErrTimeout
+		}
+		if port.closed {
+			return ErrClosed
+		}
+	}
+	return nil
 }
 
 // ReadBatch returns all queued packets (up to the batch bound) in one
@@ -396,39 +244,19 @@ func (port *Port) ReadBatch(p *sim.Proc) ([]Packet, error) {
 // ring/copy equivalence property test pins that the two paths return
 // the same packet sequence.
 func (port *Port) drainBatch(p *sim.Proc, viaRing bool) ([]Packet, error) {
-	if port.closed {
-		return nil, ErrClosed
-	}
 	tag := "pfread"
 	if viaRing {
 		tag = "pfreap"
 	}
-	p.Syscall(tag)
-	if r := port.ring; r != nil {
-		r.reclaim()
+	if err := port.enterRead(p, tag); err != nil {
+		return nil, err
 	}
-	for port.qlen() == 0 {
-		if port.timeout < 0 {
-			return nil, ErrWouldBlock
-		}
-		if !p.Wait(port.readers, port.timeout) {
-			return nil, ErrTimeout
-		}
-		if port.closed {
-			return nil, ErrClosed
-		}
-	}
-	n := port.qlen()
+	n := port.Len()
 	if port.batchMax > 0 && n > port.batchMax {
 		n = port.batchMax
 	}
 	batch := make([]Packet, n)
-	copy(batch, port.queued()[:n])
-	port.popFront(n)
-	for i := range batch {
-		port.qresSum += p.Now() - batch[i].qAt
-	}
-	port.qresN += uint64(n)
+	port.take(batch, p.Now())
 	// Charge each packet against the ring as it exists *now* — the
 	// mapping may have appeared or dissolved while we blocked.  Only
 	// frames that actually sit in a live ring slot and leave through
@@ -482,15 +310,7 @@ func (port *Port) drainBatch(p *sim.Proc, viaRing bool) ([]Packet, error) {
 			tr.PortCopied(h.Name(), copied)
 		}
 	}
-	if tr != nil {
-		now := p.Now()
-		port.depthGauge(tr).Set(int64(port.qlen()))
-		tr.Dequeue(now, h.Name(), port.id, port.qlen(), n)
-		for _, pkt := range batch {
-			tr.Deliver(now, h.Name(), port.id, now-pkt.arrived)
-			tr.SpanDelivered(pkt.span, now, h.Name(), port.id)
-		}
-	}
+	port.Delivered(tr, p.Now(), port.id, batch...)
 	return batch, nil
 }
 
@@ -498,7 +318,7 @@ func (port *Port) drainBatch(p *sim.Proc, viaRing bool) ([]Packet, error) {
 // cheap half of a 4.3BSD select).
 func (port *Port) Poll(p *sim.Proc) bool {
 	p.Syscall("pf")
-	return port.qlen() > 0
+	return port.Len() > 0
 }
 
 // Write transmits a complete frame, including the data-link header;
@@ -580,24 +400,13 @@ type PortStats struct {
 // no system call is charged — the device status read PortStats is the
 // user-visible ioctl).
 func (port *Port) Stats() PortStats {
-	var res time.Duration
-	if port.qresN > 0 {
-		res = port.qresSum / time.Duration(port.qresN)
-	}
 	ps := port.FilterStats()
-	ps.ID = port.id
-	ps.Queued = port.qlen()
-	ps.MaxQueued = port.maxQueued
-	ps.Dropped = port.dropped
-	ps.Reads = port.reads
-	ps.BatchReads = port.batches
-	ps.BatchPackets = port.batched
+	port.QueueStats(&ps)
 	ps.RingReaps = port.reaps
 	ps.ReapPackets = port.reaped
 	ps.BytesCopied = port.bytesCopied
 	ps.BytesMapped = port.bytesMapped
 	ps.DescErrors = port.descErrors
-	ps.AvgResidency = res
 	return ps
 }
 
@@ -624,13 +433,7 @@ func (port *Port) Close(p *sim.Proc) {
 	}
 	p.Syscall("pf")
 	port.closed = true
-	port.dev.queuedTotal -= port.qlen()
-	// Packets still queued will never be read; their spans die typed.
-	tr := port.dev.host.Sim().Tracer()
-	now := port.dev.host.Clock().Now()
-	for _, pkt := range port.queued() {
-		tr.SpanDrop(pkt.span, now, port.dev.host.Name(), trace.DropPortClose)
-	}
+	port.Discard(port.dev.host.Sim().Tracer(), port.dev.host.Clock().Now(), trace.DropPortClose)
 	port.detachRing()
 	port.readers.WakeAll(port.dev.host)
 	port.dev.DropPort(&port.Binding)
@@ -646,7 +449,7 @@ func Select(p *sim.Proc, ports []*Port, timeout time.Duration) int {
 	p.Syscall("pf")
 	check := func() int {
 		for i, port := range ports {
-			if port.closed || port.qlen() > 0 {
+			if port.closed || port.Len() > 0 {
 				return i
 			}
 		}

@@ -134,8 +134,8 @@ func TestTableReceivePathAllocationFree(t *testing.T) {
 	hit, miss := pupTo(1, 2, 1, scanBase+n/2), pupTo(1, 2, 1, scanBase-1)
 	deliver := func(frame []byte, want int) {
 		w.deliver(frame)
-		if port.qlen() != want {
-			t.Fatalf("queue depth %d after input, want %d", port.qlen(), want)
+		if port.Len() != want {
+			t.Fatalf("queue depth %d after input, want %d", port.Len(), want)
 		}
 		port.popFront(want)
 	}
