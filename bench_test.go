@@ -48,23 +48,8 @@ func BenchmarkInterpretChecked(b *testing.B) {
 	}
 }
 
-func BenchmarkInterpretPrevalidated(b *testing.B) {
-	pv, err := filter.Prevalidate(filter.Fig38PupTypeRange().Program, filter.ValidateOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkt := benchPacket(35)
-	pkt[7] = 50
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !pv.Run(pkt).Accept {
-			b.Fatal("reject")
-		}
-	}
-}
-
 func BenchmarkInterpretCompiled(b *testing.B) {
-	c, err := filter.Compile(filter.Fig38PupTypeRange().Program, filter.ValidateOptions{}, filter.Env{})
+	fp, err := filter.CompileFlat(filter.Fig38PupTypeRange().Program, filter.ValidateOptions{}, filter.Env{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +57,7 @@ func BenchmarkInterpretCompiled(b *testing.B) {
 	pkt[7] = 50
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !c.Run(pkt) {
+		if !fp.Run(pkt).Accept {
 			b.Fatal("reject")
 		}
 	}
@@ -101,20 +86,20 @@ func filterSet20() []filter.Filter {
 
 func BenchmarkFilterSet20Linear(b *testing.B) {
 	fs := filterSet20()
-	pvs := make([]*filter.Prevalidated, len(fs))
+	fps := make([]*filter.FlatProg, len(fs))
 	for i, f := range fs {
-		pv, err := filter.Prevalidate(f.Program, filter.ValidateOptions{})
+		fp, err := filter.CompileFlat(f.Program, filter.ValidateOptions{}, filter.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pvs[i] = pv
+		fps[i] = fp
 	}
 	pkt := benchPacket(0x100 + 19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hit := -1
-		for j, pv := range pvs {
-			if pv.Run(pkt).Accept {
+		for j, fp := range fps {
+			if fp.Run(pkt).Accept {
 				hit = j
 				break
 			}

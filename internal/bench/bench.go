@@ -161,6 +161,7 @@ type rigOptions struct {
 	inet       bool // kernel IP/UDP/TCP stacks
 	kernelVMTP bool // kernel VMTP engines
 	pf         pfdev.Options
+	kernB      pfdev.KernelProtocol // offered host B's frames after its stacks
 }
 
 func newRig(o rigOptions) *rig {
@@ -192,6 +193,9 @@ func newRig(o rigOptions) *rig {
 		r.vmtpB = vmtp.AttachKernel(r.nicB, vmtp.DefaultKernelConfig())
 		kernA = append(kernA, r.vmtpA)
 		kernB = append(kernB, r.vmtpB)
+	}
+	if o.kernB != nil {
+		kernB = append(kernB, o.kernB)
 	}
 	r.devA = pfdev.Attach(r.nicA, pfdev.Chain(kernA...), o.pf)
 	r.devB = pfdev.Attach(r.nicB, pfdev.Chain(kernB...), o.pf)

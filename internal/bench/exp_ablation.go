@@ -12,11 +12,12 @@ import (
 	"repro/internal/workload"
 )
 
-// AblationEvalModes compares the four evaluation strategies of §4/§7
-// on the same 20-filter receive workload: checked interpretation
-// (production), prevalidated interpretation, closure compilation, and
-// the merged decision table.  Virtual costs use the calibrated
-// relative speeds; bench_test.go measures the real nanosecond ratios.
+// AblationEvalModes compares the four evaluation modes of §4/§7 on the
+// same 20-filter receive workload: checked interpretation
+// (production), ahead-of-time validation, compilation, and the merged
+// decision table.  The two middle modes run the same flat register
+// code and differ only in the price the device charges per evaluation;
+// bench_test.go measures the real nanosecond ratios.
 func AblationEvalModes() Table {
 	t := Table{
 		ID:      "abl-eval",

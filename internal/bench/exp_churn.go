@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ethersim"
+	"repro/internal/filter"
 	"repro/internal/parsim"
 	"repro/internal/pfdev"
 	"repro/internal/pup"
@@ -34,16 +35,73 @@ type churnResult struct {
 	stall     time.Duration // packet-path time lost to from-scratch compiles
 }
 
+// fullRebuild is the exp-churn baseline: the decision table as it was
+// kept before incremental maintenance, thrown away by every setfilter
+// and close and rebuilt from scratch by the next frame, on the packet
+// path.  The device itself still patches its table at syscall time;
+// the baseline rides on host B as a kernel protocol that claims
+// nothing, and charges the from-scratch build the frame would have
+// waited on as "filter" kernel time, ahead of the device's own match.
+type fullRebuild struct {
+	dev     *pfdev.Device
+	filters map[*pfdev.Port]filter.Filter // each open port's bound filter
+	stale   bool
+	builds  uint64
+	work    uint64
+	stall   time.Duration
+}
+
+// setFilter binds f on port and marks the table stale.
+func (b *fullRebuild) setFilter(p *sim.Proc, port *pfdev.Port, f filter.Filter) {
+	port.SetFilter(p, f)
+	b.filters[port] = f
+	b.stale = true
+}
+
+// close closes port and marks the table stale.
+func (b *fullRebuild) close(p *sim.Proc, port *pfdev.Port) {
+	port.Close(p)
+	delete(b.filters, port)
+	b.stale = true
+}
+
+// Claim rebuilds a stale table over the bound filters in scan order
+// and charges its construction work at instruction rate.
+func (b *fullRebuild) Claim([]byte) bool {
+	if !b.stale {
+		return false
+	}
+	b.stale = false
+	var set []filter.Filter
+	for _, port := range b.dev.Ports() {
+		if f, ok := b.filters[port]; ok {
+			set = append(set, f)
+		}
+	}
+	work := filter.BuildTable(set).Work()
+	stall := time.Duration(work) * b.dev.Host().Costs().FilterInstr
+	b.builds++
+	b.work += uint64(work)
+	b.stall += stall
+	b.dev.Host().RunKernel("filter", stall, nil)
+	return false
+}
+
 // measureChurn binds nPorts tree-extractable socket filters at host B,
 // paces ChurnCount frames at the hot port, and concurrently rebinds
 // and open/close-cycles decoy ports between frames — one churn event
-// per frame.  Under FullRebuild every event invalidates the table and
-// the next frame pays a from-scratch compile on the packet path; under
-// incremental maintenance each event is an O(depth) patch at
-// setfilter/close time.
+// per frame.  Under the full-rebuild baseline every event invalidates
+// the table and the next frame pays a from-scratch compile on the
+// packet path; under incremental maintenance each event is an
+// O(depth) patch at setfilter/close time.
 func measureChurn(nPorts int, full bool) churnResult {
-	r := newRig(rigOptions{link: ethersim.Ether3Mb,
-		pf: pfdev.Options{Mode: pfdev.EvalTable, FullRebuild: full}})
+	base := &fullRebuild{filters: make(map[*pfdev.Port]filter.Filter)}
+	o := rigOptions{link: ethersim.Ether3Mb, pf: pfdev.Options{Mode: pfdev.EvalTable}}
+	if full {
+		o.kernB = base
+	}
+	r := newRig(o)
+	base.dev = r.devB
 	count := ChurnCount
 	const hotSocket = 0x50
 	// The gap must dominate a churn event's syscall time (~5 virtual
@@ -66,13 +124,13 @@ func measureChurn(nPorts int, full bool) churnResult {
 	r.s.Spawn(r.hB, "dest", func(p *sim.Proc) {
 		for i := range decoys {
 			decoys[i] = r.devB.Open(p)
-			decoys[i].SetFilter(p, pup.SocketFilter(ethersim.Ether3Mb, 10, uint32(0x1000+i)))
+			base.setFilter(p, decoys[i], pup.SocketFilter(ethersim.Ether3Mb, 10, uint32(0x1000+i)))
 		}
 		hot := r.devB.Open(p)
-		hot.SetFilter(p, pup.SocketFilter(ethersim.Ether3Mb, 1, hotSocket))
+		base.setFilter(p, hot, pup.SocketFilter(ethersim.Ether3Mb, 1, hotSocket))
 		hot.SetQueueLimit(p, 4*count)
-		// Survive the worst cell: at 1024 ports under FullRebuild every
-		// frame pays a whole-population recompile stall.
+		// Survive the worst cell: at 1024 ports under the full-rebuild
+		// baseline every frame pays a whole-population recompile stall.
 		hot.SetTimeout(p, 30*time.Second)
 		ready = true
 		// The warm-up frame pays the cold table compile in both modes;
@@ -104,15 +162,25 @@ func measureChurn(nPorts int, full bool) churnResult {
 		for i := 0; i < count; i++ {
 			k := i % len(decoys)
 			if i%4 == 3 {
-				decoys[k].Close(p)
+				base.close(p, decoys[k])
 				decoys[k] = r.devB.Open(p)
 			}
-			decoys[k].SetFilter(p, pup.SocketFilter(ethersim.Ether3Mb, 10, uint32(0x2000+i)))
+			base.setFilter(p, decoys[k], pup.SocketFilter(ethersim.Ether3Mb, 10, uint32(0x2000+i)))
 			p.Sleep(gap / 2)
 		}
 	})
-	var builds0, patches0, work0 uint64
-	var stall0 time.Duration
+	// maintenance reads the cell's table-maintenance counters: the
+	// baseline's own under full rebuild, the device's otherwise (its
+	// match path never compiles, so it never stalls).
+	maintenance := func() (m churnResult) {
+		if full {
+			m.builds, m.work, m.stall = base.builds, base.work, base.stall
+		} else {
+			m.builds, m.patches, m.work = r.devB.TableBuilds, r.devB.TablePatches, r.devB.TableWork()
+		}
+		return m
+	}
+	var m0 churnResult
 	r.s.Spawn(r.hA, "src", func(p *sim.Proc) {
 		for !ready {
 			p.Sleep(10 * time.Millisecond)
@@ -123,8 +191,7 @@ func measureChurn(nPorts int, full bool) churnResult {
 		r.nicA.Transmit(frame)
 		p.Sleep(500 * time.Millisecond)
 		t0 = p.Now()
-		builds0, patches0 = r.devB.TableBuilds, r.devB.TablePatches
-		work0, stall0 = r.devB.TableWork(), r.devB.TableStall()
+		m0 = maintenance()
 		r.hB.ResetAccounting()
 		going = true
 		for i := 0; i < count; i++ {
@@ -138,10 +205,11 @@ func measureChurn(nPorts int, full bool) churnResult {
 	if res.received > 0 {
 		res.perPacket = (t1 - t0) / time.Duration(res.received)
 	}
-	res.builds = r.devB.TableBuilds - builds0
-	res.patches = r.devB.TablePatches - patches0
-	res.work = r.devB.TableWork() - work0
-	res.stall = r.devB.TableStall() - stall0
+	m := maintenance()
+	res.builds = m.builds - m0.builds
+	res.patches = m.patches - m0.patches
+	res.work = m.work - m0.work
+	res.stall = m.stall - m0.stall
 	return res
 }
 

@@ -34,7 +34,7 @@ func allocFilters() []Filter {
 
 // TestFilterHotPathsAllocationFree pins the per-packet filter paths at
 // zero heap allocations in steady state: the checked interpreter, the
-// compiled closures, and the merged decision table, on both accepting
+// flat IR, and the merged decision table, on both accepting
 // and rejecting packets.
 func TestFilterHotPathsAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -50,17 +50,15 @@ func TestFilterHotPathsAllocationFree(t *testing.T) {
 		t.Errorf("filter.Run allocates %.1f/run, want 0", a)
 	}
 
-	c, err := Compile(prog, ValidateOptions{}, Env{})
+	fp, err := CompileFlat(prog, ValidateOptions{}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One warm run lets the cstate pool reach steady state.
-	c.Run(hit)
 	if a := testing.AllocsPerRun(200, func() {
-		c.Run(hit)
-		c.Run(miss)
+		fp.Run(hit)
+		fp.Run(miss)
 	}); a != 0 {
-		t.Errorf("Compiled.Run allocates %.1f/run, want 0", a)
+		t.Errorf("FlatProg.Run allocates %.1f/run, want 0", a)
 	}
 
 	tbl := BuildTable(allocFilters())
@@ -84,14 +82,14 @@ func BenchmarkFilterRun(b *testing.B) {
 }
 
 func BenchmarkCompiledRun(b *testing.B) {
-	c, err := Compile(DstSocketFilter(10, 35).Program, ValidateOptions{}, Env{})
+	fp, err := CompileFlat(DstSocketFilter(10, 35).Program, ValidateOptions{}, Env{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	pkt := allocPkt(35)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Run(pkt)
+		fp.Run(pkt)
 	}
 }
 

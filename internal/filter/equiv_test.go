@@ -70,48 +70,24 @@ func genPacket(r *rand.Rand) []byte {
 	return pkt
 }
 
-// TestPrevalidatedEquivalence checks that the fast interpreter accepts
-// exactly the packets the checked interpreter accepts, over random
-// programs and packets including packets too short for the program.
-func TestPrevalidatedEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
-		p := genProgram(r, 1+r.Intn(12))
-		if _, err := Validate(p, ValidateOptions{}); err != nil {
-			t.Fatalf("generator produced invalid program: %v\n%s", err, p)
-		}
-		pv, err := Prevalidate(p, ValidateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 8; j++ {
-			pkt := genPacket(r)
-			want := Run(p, pkt)
-			got := pv.Run(pkt)
-			if want.Accept != got.Accept {
-				t.Fatalf("accept mismatch (checked=%v fast=%v)\npkt len %d\n%s",
-					want.Accept, got.Accept, len(pkt), p)
-			}
-		}
-	}
-}
-
-// TestCompiledEquivalence checks the threaded-code compiler against
-// the checked interpreter the same way.
+// TestCompiledEquivalence checks that the flat-IR compiler accepts
+// exactly the packets the checked interpreter accepts, at the same
+// executed-instruction count, over random valid programs and packets
+// including packets too short for the program.
 func TestCompiledEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
 		p := genProgram(r, 1+r.Intn(12))
-		c, err := Compile(p, ValidateOptions{}, Env{})
+		fp, err := CompileFlat(p, ValidateOptions{}, Env{})
 		if err != nil {
 			t.Fatalf("compile: %v\n%s", err, p)
 		}
 		for j := 0; j < 8; j++ {
 			pkt := genPacket(r)
-			want := Run(p, pkt).Accept
-			if got := c.Run(pkt); got != want {
-				t.Fatalf("accept mismatch (checked=%v compiled=%v)\npkt len %d\n%s",
-					want, got, len(pkt), p)
+			want, got := Run(p, pkt), fp.Run(pkt)
+			if got.Accept != want.Accept || got.Instrs != want.Instrs {
+				t.Fatalf("mismatch (checked=%v/%d compiled=%v/%d)\npkt len %d\n%s",
+					want.Accept, want.Instrs, got.Accept, got.Instrs, len(pkt), p)
 			}
 		}
 	}
@@ -151,27 +127,6 @@ func TestValidatedProgramsRunCleanly(t *testing.T) {
 		pkt := make([]byte, 2*(info.MaxWord+1)+2)
 		if res := Run(p, pkt); res.Err != nil {
 			t.Fatalf("validated program errored on a long packet: %v\n%s", res.Err, p)
-		}
-	}
-}
-
-// TestPrevalidatedInstrsMatch checks the virtual-cost contract: both
-// interpreters report the same executed-instruction count on packets
-// that take the fast path.
-func TestPrevalidatedInstrsMatch(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 500; i++ {
-		p := genProgram(r, 1+r.Intn(12))
-		pv, err := Prevalidate(p, ValidateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkt := make([]byte, 64)
-		for j := range pkt {
-			pkt[j] = byte(r.Intn(5))
-		}
-		if a, b := Run(p, pkt).Instrs, pv.Run(pkt).Instrs; a != b {
-			t.Fatalf("instr count mismatch: checked=%d fast=%d\n%s", a, b, p)
 		}
 	}
 }

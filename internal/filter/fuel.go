@@ -12,15 +12,12 @@ package filter
 //
 //   - RunFuel (checked interpreter): a true per-instruction fuel
 //     counter; evaluation stops mid-program with ErrFuel.
-//   - Prevalidated.RunFuel: admitted whole-program when the budget
-//     covers WorstInstrs (the common case — the fast inner loop stays
-//     untouched); an under-budget call falls back to the metered
-//     checked interpreter so the fuel is still enforced exactly.
-//   - Compiled.RunFuel and Table.MatchFuel: admission control only —
-//     a budget below the static worst case refuses to run at all.
-//     Threading a counter through the compiled closures (or the tree
-//     walk) would tax every step of the fastest paths to support a
-//     case the governor handles by not running the filter.
+//   - Table.MatchFuel: admission control only — a budget below the
+//     static worst case refuses to run at all.  Threading a counter
+//     through the tree walk would tax every step of the fastest path
+//     to support a case the governor handles by not running the
+//     filter.  The device's governor prices flat-IR filters the same
+//     way, admitting each against its static worst case before it runs.
 //
 // In every mode, an evaluation that runs to a verdict is bit-identical
 // to its unfueled counterpart: fuel never changes an accept/reject
@@ -45,29 +42,6 @@ func RunFuel(p Program, pkt []byte, fuel int) Result {
 // RunExtFuel is RunFuel with the §7 extended instructions permitted.
 func RunExtFuel(p Program, pkt []byte, env Env, fuel int) Result {
 	return run(p, pkt, env, true, fuel)
-}
-
-// RunFuel evaluates the prevalidated program under a fuel budget.
-// When the budget covers the program's static worst case the fast
-// unmetered path runs (it cannot exceed WorstInstrs); otherwise the
-// evaluation takes the metered checked path, which stops with ErrFuel
-// the moment the budget runs out.
-func (v *Prevalidated) RunFuel(pkt []byte, fuel int) Result {
-	if fuel >= v.info.WorstInstrs {
-		return v.Run(pkt)
-	}
-	return run(v.prog, pkt, v.env, v.ext, fuel)
-}
-
-// RunFuel evaluates the compiled filter when fuel covers its static
-// worst case, and refuses with ErrFuel otherwise.  Compiled execution
-// is all-or-nothing: the flat code carries no metering branch, so
-// admission is decided entirely by the WorstInstrs bound.
-func (c *Compiled) RunFuel(pkt []byte, fuel int) (bool, error) {
-	if fuel < c.fp.info.WorstInstrs {
-		return false, ErrFuel
-	}
-	return c.Run(pkt), nil
 }
 
 // WorstInstrs bounds the work units (tree edges plus linear-fallback
@@ -111,9 +85,9 @@ func MaxInstrsProgram() Program {
 }
 
 // MatchFuel runs MatchStats when fuel covers the table's static worst
-// case, and refuses with ErrFuel otherwise.  Like compiled filters,
-// the merged table is admitted whole: a walk cannot be abandoned
-// halfway without losing the exact linear-equivalence property.
+// case, and refuses with ErrFuel otherwise.  The merged table is
+// admitted whole: a walk cannot be abandoned halfway without losing
+// the exact linear-equivalence property.
 func (t *Table) MatchFuel(pkt []byte, fuel int) (MatchResult, error) {
 	if fuel < t.WorstInstrs() {
 		return MatchResult{}, ErrFuel

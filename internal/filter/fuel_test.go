@@ -154,45 +154,6 @@ func TestRunFuel(t *testing.T) {
 	}
 }
 
-// TestPrevalidatedAndCompiledFuel checks the budget discipline of the
-// fast strategies: covered budgets behave identically to the unfueled
-// paths, under-budget calls are metered (prevalidated) or refused
-// (compiled, table).
-func TestPrevalidatedAndCompiledFuel(t *testing.T) {
-	prog := Fig39PupSocket().Program
-	info := MustValidate(prog, ValidateOptions{})
-	pv, err := Prevalidate(prog, ValidateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(prog, ValidateOptions{}, Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkt := range [][]byte{
-		fuelTestPacket(2, 0, 35, 7),
-		fuelTestPacket(2, 1, 35, 7),
-		fuelTestPacket(3, 0, 36, 7),
-		make([]byte, 6),
-	} {
-		want := Run(prog, pkt)
-		if got := pv.RunFuel(pkt, info.WorstInstrs); got.Accept != want.Accept {
-			t.Errorf("pv.RunFuel(covered): accept %v, want %v", got.Accept, want.Accept)
-		}
-		starved := pv.RunFuel(pkt, 1)
-		if starved.Accept || starved.Instrs > 1 {
-			t.Errorf("pv.RunFuel(1) must reject after at most 1 instr, got %+v", starved)
-		}
-		ok, err := c.RunFuel(pkt, info.WorstInstrs)
-		if err != nil || ok != want.Accept {
-			t.Errorf("compiled.RunFuel(covered) = (%v, %v), want (%v, nil)", ok, err, want.Accept)
-		}
-		if _, err := c.RunFuel(pkt, info.WorstInstrs-1); !errors.Is(err, ErrFuel) {
-			t.Errorf("compiled.RunFuel(starved) err = %v, want ErrFuel", err)
-		}
-	}
-}
-
 // TestTableMatchFuel checks the merged table's admission bound: the
 // static worst case dominates the work of every match, a covered call
 // is identical to MatchStats, and a starved call refuses to run.

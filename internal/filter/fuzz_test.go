@@ -39,19 +39,12 @@ func FuzzRun(f *testing.F) {
 
 		// When the program validates, the fast paths must agree.
 		if _, err := Validate(prog, ValidateOptions{}); err == nil {
-			pv, err := Prevalidate(prog, ValidateOptions{})
+			fp, err := CompileFlat(prog, ValidateOptions{}, Env{})
 			if err != nil {
-				t.Fatalf("Validate ok but Prevalidate failed: %v", err)
+				t.Fatalf("Validate ok but CompileFlat failed: %v", err)
 			}
-			if got := pv.Run(pkt); got.Accept != checked.Accept {
-				t.Fatalf("fast path diverges: %v vs %v", got.Accept, checked.Accept)
-			}
-			c, err := Compile(prog, ValidateOptions{}, Env{})
-			if err != nil {
-				t.Fatalf("Validate ok but Compile failed: %v", err)
-			}
-			if got := c.Run(pkt); got != checked.Accept {
-				t.Fatalf("compiled diverges: %v vs %v", got, checked.Accept)
+			if got := fp.Run(pkt); got.Accept != checked.Accept {
+				t.Fatalf("compiled diverges: %v vs %v", got.Accept, checked.Accept)
 			}
 			opt := Optimize(prog, ValidateOptions{})
 			if got := Run(opt, pkt); got.Accept != checked.Accept {
@@ -122,12 +115,14 @@ func FuzzAdversarial(f *testing.F) {
 			(full.Err == nil) != (checked.Err == nil) {
 			t.Fatalf("covering fuel changed the result: %+v vs %+v", full, checked)
 		}
-		pv, err := Prevalidate(prog, ValidateOptions{})
+		// The governor admits a flat-IR filter on WorstInstrs before
+		// running it whole, so the bound must dominate it too.
+		fp, err := CompileFlat(prog, ValidateOptions{}, Env{})
 		if err != nil {
-			t.Fatalf("Validate ok but Prevalidate failed: %v", err)
+			t.Fatalf("Validate ok but CompileFlat failed: %v", err)
 		}
-		if got := pv.RunFuel(pkt, fuel); got.Instrs > info.WorstInstrs {
-			t.Fatalf("pv.RunFuel(%d) executed %d instrs", fuel, got.Instrs)
+		if got := fp.Run(pkt); got.Instrs > info.WorstInstrs {
+			t.Fatalf("flat run executed %d instrs > WorstInstrs %d", got.Instrs, info.WorstInstrs)
 		}
 
 		// One-filter decision table must reach the same verdict as

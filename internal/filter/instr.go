@@ -4,11 +4,12 @@
 // with every evaluation strategy the paper describes or proposes:
 //
 //   - a fully checked interpreter (§4, the production implementation),
-//   - a pre-validated interpreter that hoists the per-instruction
-//     validity, stack and bounds checks out of the inner loop (§7:
-//     "all these tests can be performed ahead of time"),
-//   - compilation of a filter into a native Go closure, the analogue
-//     of §7's "compiling filters into machine code",
+//   - compilation to flat register code (setir.go), which serves both
+//     of §7's per-filter proposals at once: the program is validated
+//     once, so the inner loop carries no validity, stack or bounds
+//     checks ("all these tests can be performed ahead of time"), and
+//     all decoding is resolved ahead of time, the analogue of
+//     "compiling filters into machine code",
 //   - a decision-table evaluator that merges a whole set of active
 //     filters (§7: "compile the set of active filters into a decision
 //     table, which should provide the best possible performance"),

@@ -234,167 +234,3 @@ func b2w(b bool) uint16 {
 	}
 	return 0
 }
-
-// Prevalidated wraps a program whose static checks have already
-// passed, so the per-packet inner loop can omit the action/operator
-// validity, operand-presence, stack-depth and constant-index checks.
-// This is the first of §7's proposed speedups.  Construct with
-// Prevalidate.
-type Prevalidated struct {
-	prog Program
-	info Info
-	env  Env
-	ext  bool
-}
-
-// Prevalidate validates p once and returns a fast evaluator for it.
-func Prevalidate(p Program, opt ValidateOptions) (*Prevalidated, error) {
-	info, err := Validate(p, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Prevalidated{prog: p.Clone(), info: info, ext: opt.Extensions}, nil
-}
-
-// SetEnv sets the per-device environment used by extended actions.
-func (v *Prevalidated) SetEnv(env Env) { v.env = env }
-
-// Info returns the static summary computed at validation time.
-func (v *Prevalidated) Info() Info { return v.info }
-
-// Program returns the underlying program.
-func (v *Prevalidated) Program() Program { return v.prog }
-
-// Run evaluates the prevalidated program against pkt.  Packets too
-// short for the program's constant accesses take the fully checked
-// path so that acceptance is bit-for-bit identical to Run; packets of
-// normal length run with no per-instruction checking.
-func (v *Prevalidated) Run(pkt []byte) Result {
-	if len(v.prog) == 0 {
-		return Result{Accept: true}
-	}
-	if 2*(v.info.MaxWord+1) > len(pkt) || v.info.MaxByte >= len(pkt) {
-		return run(v.prog, pkt, v.env, v.ext, len(v.prog))
-	}
-	var stack [StackDepth]uint16
-	sp := 0
-	res := Result{}
-	p := v.prog
-
-	for pc := 0; pc < len(p); pc++ {
-		w := p[pc]
-		a, op := w.Action(), w.Op()
-		res.Instrs++
-
-		switch {
-		case a == NOPUSH:
-			// nothing
-		case a == PUSHLIT:
-			pc++
-			stack[sp] = uint16(p[pc])
-			sp++
-		case a == PUSHZERO:
-			stack[sp] = 0
-			sp++
-		case a == PUSHONE:
-			stack[sp] = 1
-			sp++
-		case a == PUSHFFFF:
-			stack[sp] = 0xFFFF
-			sp++
-		case a == PUSHFF00:
-			stack[sp] = 0xFF00
-			sp++
-		case a == PUSH00FF:
-			stack[sp] = 0x00FF
-			sp++
-		case a == PUSHIND:
-			// The only access not checkable ahead of time (§7).
-			v2, ok := PacketWord(pkt, int(stack[sp-1]))
-			if !ok {
-				res.Err = fmt.Errorf("word %d: %w", pc, ErrWordIndex)
-				return res
-			}
-			stack[sp-1] = v2
-		case a == PUSHHDRLEN:
-			stack[sp] = uint16(v.env.HeaderWords)
-			sp++
-		case a == PUSHPKTLEN:
-			stack[sp] = uint16(len(pkt))
-			sp++
-		case a == PUSHBYTE:
-			pc++
-			stack[sp] = uint16(pkt[int(p[pc])])
-			sp++
-		default: // a >= PUSHWORD; validated
-			n := int(a - PUSHWORD)
-			stack[sp] = uint16(pkt[2*n])<<8 | uint16(pkt[2*n+1])
-			sp++
-		}
-
-		if op == NOP {
-			continue
-		}
-		t1 := stack[sp-1]
-		t2 := stack[sp-2]
-		sp -= 2
-		var r uint16
-		switch op {
-		case EQ:
-			r = b2w(t2 == t1)
-		case NEQ:
-			r = b2w(t2 != t1)
-		case LT:
-			r = b2w(t2 < t1)
-		case LE:
-			r = b2w(t2 <= t1)
-		case GT:
-			r = b2w(t2 > t1)
-		case GE:
-			r = b2w(t2 >= t1)
-		case AND:
-			r = t2 & t1
-		case OR:
-			r = t2 | t1
-		case XOR:
-			r = t2 ^ t1
-		case COR:
-			if t1 == t2 {
-				res.Accept = true
-				return res
-			}
-			r = 0
-		case CAND:
-			if t1 != t2 {
-				return res
-			}
-			r = 1
-		case CNOR:
-			if t1 == t2 {
-				return res
-			}
-			r = 0
-		case CNAND:
-			if t1 != t2 {
-				res.Accept = true
-				return res
-			}
-			r = 1
-		case ADD:
-			r = t2 + t1
-		case SUB:
-			r = t2 - t1
-		case MUL:
-			r = t2 * t1
-		case LSH:
-			r = t2 << (t1 & 15)
-		case RSH:
-			r = t2 >> (t1 & 15)
-		}
-		stack[sp] = r
-		sp++
-	}
-
-	res.Accept = stack[sp-1] != 0
-	return res
-}

@@ -8,7 +8,7 @@ package filter
 //
 // They double as conformance tests: the test suite checks them against
 // hand-constructed Pup packets, and the ablation benchmarks compare
-// their interpreted, prevalidated and compiled costs.
+// their costs under each evaluation mode.
 
 // PupEtherType is the 3 Mb Ethernet type code for Pup used in the
 // paper's listings.

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -70,9 +71,10 @@ func TestFlatMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestFlatMatchesPrevalidated pins parity against the fast path on the
-// canonical filters, where both evaluators take their fast lanes.
-func TestFlatMatchesPrevalidated(t *testing.T) {
+// TestFlatMatchesCanonicalFilters pins parity against the checked
+// interpreter on the canonical filters, over packets of every length
+// up to 40 bytes.
+func TestFlatMatchesCanonicalFilters(t *testing.T) {
 	progs := []Program{
 		DstSocketFilter(10, 35).Program,
 		NewBuilder().WordEQ(7, 0).WordEQ(8, 35).And().MustProgram(),
@@ -82,23 +84,80 @@ func TestFlatMatchesPrevalidated(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(7))
 	for pi, p := range progs {
-		pv, err := Prevalidate(p, ValidateOptions{})
-		if err != nil {
-			t.Fatalf("prog %d: %v", pi, err)
-		}
 		fp, err := CompileFlat(p, ValidateOptions{}, Env{})
 		if err != nil {
 			t.Fatalf("prog %d: %v", pi, err)
 		}
 		for k := 0; k < 200; k++ {
 			pkt := randPacket(r)
-			want, got := pv.Run(pkt), fp.Run(pkt)
+			want, got := Run(p, pkt), fp.Run(pkt)
 			if got.Accept != want.Accept || got.Instrs != want.Instrs {
-				t.Fatalf("prog %d pkt %v: flat (%v,%d) != prevalidated (%v,%d)",
+				t.Fatalf("prog %d pkt %v: flat (%v,%d) != interp (%v,%d)",
 					pi, pkt, got.Accept, got.Instrs, want.Accept, want.Instrs)
 			}
 		}
 	}
+}
+
+// boundaryCase is a one-access program and the packet length its
+// access needs: a packet of need bytes ends exactly at the access, one
+// of need-1 bytes is one byte short of it.
+type boundaryCase struct {
+	name string
+	prog Program
+	ext  bool
+	need int
+}
+
+func boundaryCases() []boundaryCase {
+	return []boundaryCase{
+		{"FWord", NewBuilder().PushWord(3).MustProgram(), false, 8},
+		{"FByte", NewExtendedBuilder().PushByte(5).MustProgram(), true, 6},
+		{"FInd", NewExtendedBuilder().PushLit(3).PushInd().MustProgram(), true, 8},
+	}
+}
+
+// boundaryPacket is n bytes of non-zero filler, so an in-range access
+// pushes a non-zero value and the filter accepts.
+func boundaryPacket(n int) []byte { return bytes.Repeat([]byte{0xAB}, n) }
+
+// TestFlatBoundaryPackets feeds each flat packet access a packet that
+// ends exactly at it and one a byte short: the flat code must accept
+// the first and reject the second with ErrWordIndex at the same
+// executed-instruction count as the checked interpreter, and never
+// index past the packet.
+func TestFlatBoundaryPackets(t *testing.T) {
+	for _, c := range boundaryCases() {
+		opt := ValidateOptions{Extensions: c.ext}
+		fp, err := CompileFlat(c.prog, opt, Env{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, n := range []int{c.need, c.need - 1} {
+			pkt := boundaryPacket(n)
+			want := run(c.prog, pkt, Env{}, c.ext, len(c.prog))
+			got := fp.Run(pkt)
+			short := n < c.need
+			if want.Accept == short || errors.Is(want.Err, ErrWordIndex) != short {
+				t.Fatalf("%s len %d: interpreter (%v, %v) is not the boundary verdict", c.name, n, want.Accept, want.Err)
+			}
+			if got.Accept != want.Accept || got.Instrs != want.Instrs ||
+				errors.Is(got.Err, ErrWordIndex) != errors.Is(want.Err, ErrWordIndex) {
+				t.Errorf("%s len %d: flat (%v, %d, %v) != interp (%v, %d, %v)",
+					c.name, n, got.Accept, got.Instrs, got.Err, want.Accept, want.Instrs, want.Err)
+			}
+		}
+	}
+}
+
+// progBytes encodes a program as the big-endian word bytes the fuzz
+// targets decode.
+func progBytes(p Program) []byte {
+	b := make([]byte, 2*len(p))
+	for i, w := range p {
+		b[2*i], b[2*i+1] = byte(w>>8), byte(w)
+	}
+	return b
 }
 
 // TestFlatRoundTrip pins the binary encoding: marshal → unmarshal →
@@ -175,10 +234,17 @@ func FuzzFlatRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFlatEquivalence compiles arbitrary word sequences and, when they
-// validate, pins flat-vs-interpreter verdict and count parity.
+// FuzzFlatEquivalence compiles arbitrary word sequences, with and
+// without the extended instructions, and when they validate pins
+// flat-vs-interpreter verdict, count and ErrWordIndex parity.  The
+// boundary packets of TestFlatBoundaryPackets are seeds.
 func FuzzFlatEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04}, []byte{0, 35})
+	for _, c := range boundaryCases() {
+		f.Add(progBytes(c.prog), boundaryPacket(c.need))
+		f.Add(progBytes(c.prog), boundaryPacket(c.need-1))
+	}
+	env := Env{HeaderWords: 2}
 	f.Fuzz(func(t *testing.T, raw, pkt []byte) {
 		if len(raw) > 2*MaxProgramLen {
 			return
@@ -187,15 +253,18 @@ func FuzzFlatEquivalence(f *testing.F) {
 		for i := range p {
 			p[i] = Word(uint16(raw[2*i])<<8 | uint16(raw[2*i+1]))
 		}
-		fp, err := CompileFlat(p, ValidateOptions{}, Env{})
-		if err != nil {
-			return
-		}
-		want := Run(p, pkt)
-		got := fp.Run(pkt)
-		if got.Accept != want.Accept || got.Instrs != want.Instrs {
-			t.Fatalf("flat (%v,%d) != interp (%v,%d)\nprog: %v\npkt: %v",
-				got.Accept, got.Instrs, want.Accept, want.Instrs, p, pkt)
+		for _, ext := range []bool{false, true} {
+			fp, err := CompileFlat(p, ValidateOptions{Extensions: ext}, env)
+			if err != nil {
+				continue
+			}
+			want := run(p, pkt, env, ext, len(p))
+			got := fp.Run(pkt)
+			if got.Accept != want.Accept || got.Instrs != want.Instrs ||
+				errors.Is(got.Err, ErrWordIndex) != errors.Is(want.Err, ErrWordIndex) {
+				t.Fatalf("ext=%v: flat (%v,%d,%v) != interp (%v,%d,%v)\nprog: %v\npkt: %v",
+					ext, got.Accept, got.Instrs, got.Err, want.Accept, want.Instrs, want.Err, p, pkt)
+			}
 		}
 	})
 }

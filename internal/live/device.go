@@ -141,7 +141,7 @@ func NewDevice(opt Options) *Device {
 	}
 	opt.Gov = opt.Gov.WithDefaults()
 	d := &Device{clk: opt.Clock, tr: opt.Tracer, name: opt.Name, opt: opt, byID: make(map[int]*Port)}
-	d.idx.Setup(opt.Mode, opt.Extensions, filter.Env{HeaderWords: opt.Link.HeaderWords()}, &d.opt.Gov, false)
+	d.idx.Setup(opt.Mode, opt.Extensions, filter.Env{HeaderWords: opt.Link.HeaderWords()}, &d.opt.Gov)
 	d.startQueues()
 	return d
 }

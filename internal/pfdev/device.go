@@ -34,12 +34,14 @@ const (
 	// EvalChecked is the production interpreter with full
 	// per-instruction checking (§4).
 	EvalChecked EvalMode = iota
-	// EvalFast pre-validates programs at bind time and skips the
+	// EvalFast validates programs at bind time and skips the
 	// per-instruction checks (§7, "all these tests can be performed
 	// ahead of time").
 	EvalFast
-	// EvalCompiled compiles programs to native closures at bind
-	// time (§7, "compiling filters into machine code").
+	// EvalCompiled compiles programs at bind time (§7, "compiling
+	// filters into machine code").  It runs the same flat register
+	// code as EvalFast; the two differ only in the price Binding.Eval
+	// and the governor charge per evaluation.
 	EvalCompiled
 	// EvalTable merges all bound filters into one decision table
 	// (§7, "the best possible performance").  Virtual cost is
@@ -119,11 +121,6 @@ type Options struct {
 	// at demux entry.  The zero value disables it and leaves every
 	// receive path byte-identical to the ungoverned device.
 	Gov GovConfig
-	// FullRebuild disables incremental decision-table maintenance:
-	// every open/close/setfilter/quarantine transition throws the
-	// whole table away and the next match rebuilds it from scratch —
-	// the pre-v2 behavior, kept as the exp-churn benchmark baseline.
-	FullRebuild bool
 	// Queues, when > 1, enables RSS-style multi-queue receive: the
 	// interface is configured with this many receive queues, each
 	// frame is steered to one by the flow hash (one flow → one queue,
@@ -153,10 +150,6 @@ type Device struct {
 	// the middle of a coalesced burst to the burst boundary, so every
 	// frame within one burst observes a single scan order.
 	reorderPending bool
-
-	// tableStall is the virtual time packets have waited on
-	// from-scratch table compiles on the match path.
-	tableStall time.Duration
 
 	// Burst bookkeeping: curBurst is non-zero while inputBurst is
 	// matching a coalesced burst; the match loops stamp ports and the
@@ -235,7 +228,7 @@ func Attach(nic *ethersim.NIC, kern KernelProtocol, opt Options) *Device {
 	}
 	d := &Device{host: nic.Host(), nic: nic, opt: opt, kern: kern}
 	d.Setup(opt.Mode, opt.Extensions, filter.Env{HeaderWords: nic.Network().Link().HeaderWords()},
-		&d.opt.Gov, opt.FullRebuild)
+		&d.opt.Gov)
 	nic.SetQueues(opt.Queues)
 	d.rx = make([]*rxCtx, opt.Queues)
 	for i := range d.rx {
@@ -671,8 +664,7 @@ func (rx *rxCtx) deliverBurst() {
 // match runs the §3.2 match (TableIndex.Match) for a frame that
 // arrived at now and prices its tally with the host's costs: the
 // virtual evaluation cost — FilterApply per setup owed, FilterInstr per
-// unit of work and per unit of table construction the frame waited on —
-// and the host and simulator filter counters.
+// unit of work — and the host and simulator filter counters.
 func (d *Device) match(frame []byte, dst []*Port, now time.Duration, costs *vtime.Costs) ([]*Port, time.Duration, bool) {
 	// Filled in place: a composite literal of this size is built in a
 	// temporary and copied.
@@ -683,18 +675,14 @@ func (d *Device) match(frame []byte, dst []*Port, now time.Duration, costs *vtim
 }
 
 // price turns a match tally with matched accepting ports into virtual
-// CPU and counters.  A table rebuilt on the match path (the
-// full-rebuild baseline) is a stall: its work is charged at instruction
-// rate so churn shows up in per-packet cost and tail latency.
+// CPU and counters.
 func (d *Device) price(t *Tally, matched int, costs *vtime.Costs) time.Duration {
-	stall := time.Duration(t.Rebuild) * costs.FilterInstr
-	d.tableStall += stall
 	for _, c := range [2]*vtime.Counters{&d.host.Counters, &d.host.Sim().Counters} {
 		c.FilterApplied += uint64(t.Applied)
 		c.FilterInstrs += uint64(t.Units)
 		c.PacketsMatched += uint64(matched)
 	}
-	return time.Duration(t.Setups)*costs.FilterApply + time.Duration(t.Units)*costs.FilterInstr + stall
+	return time.Duration(t.Setups)*costs.FilterApply + time.Duration(t.Units)*costs.FilterInstr
 }
 
 // dropUnmatched accounts a pending frame no port accepted.
@@ -704,13 +692,6 @@ func (d *Device) dropUnmatched(tr *trace.Tracer, now time.Duration, dl delivery)
 	d.host.Sim().Counters.PacketsDropped++
 	DropUnmatched(tr, now, d.host.Name(), dl.span, dl.quarSkip)
 }
-
-// TableStall returns the cumulative virtual time packets have spent
-// waiting on from-scratch table compiles on the match path.
-// Incremental maintenance patches at setfilter/close time, so after
-// the cold build this stays flat; under Options.FullRebuild every
-// churn event adds a whole-population compile here.
-func (d *Device) TableStall() time.Duration { return d.tableStall }
 
 // maybeReorder runs a due §3.2 busy-first reorder, deferring it to the
 // burst boundary when a coalesced burst is mid-flight so all frames of

@@ -52,38 +52,30 @@ type Binding struct {
 	treeHit     uint64
 	tableActive bool
 	priority    uint8
-	// fp is the table-mode flat compilation of prog: it evaluates a
+	// fp is prog compiled to flat register code in every validated
+	// mode.  EvalFast and EvalCompiled run it for every packet and
+	// differ only in how Eval prices the run.  EvalTable runs it for a
 	// quarantine-exit transition packet (the port is admitted again
 	// before the re-inserted filter is visible in the match's table
-	// snapshot) with exactly the cost the table's own fallback path
-	// would charge.  nil when the program fails table-mode validation,
-	// in which case the filter matches nothing — same as in the table.
-	fp       *filter.FlatProg
-	pv       *filter.Prevalidated
-	compiled *filter.Compiled
+	// snapshot), at exactly the cost the table's own fallback path
+	// would charge; there it is nil when the program fails table-mode
+	// validation, and the filter matches nothing — same as in the table.
+	fp *filter.FlatProg
 
 	PortGov
 }
 
 // compile does the bind-time work of the device's evaluation mode:
-// EvalFast validates the program, EvalCompiled compiles it, EvalTable
-// compiles the flat code for transition packets.
+// EvalFast and EvalCompiled validate and compile the program to flat
+// code, EvalTable compiles the flat code for transition packets.
 func (b *Binding) compile(f filter.Filter) error {
-	opt := filter.ValidateOptions{Extensions: b.cfg.ext}
 	switch b.cfg.mode {
-	case EvalFast:
-		pv, err := filter.Prevalidate(f.Program, opt)
+	case EvalFast, EvalCompiled:
+		fp, err := filter.CompileFlat(f.Program, filter.ValidateOptions{Extensions: b.cfg.ext}, b.cfg.env)
 		if err != nil {
 			return err
 		}
-		pv.SetEnv(b.cfg.env)
-		b.pv = pv
-	case EvalCompiled:
-		c, err := filter.Compile(f.Program, opt, b.cfg.env)
-		if err != nil {
-			return err
-		}
-		b.compiled = c
+		b.fp = fp
 	case EvalTable:
 		// The merged table validates on insert; a program that fails
 		// table-mode validation matches nothing rather than erroring.
@@ -97,19 +89,19 @@ func (b *Binding) compile(f filter.Filter) error {
 
 // Eval applies the port's filter to a frame in a linear scan, charges
 // the port its cost and counts an accept.  The cost unit is one
-// *checked* interpreter step; the faster §7 evaluation strategies
-// charge proportionally less: prevalidation removes the
-// per-instruction validity/bounds/stack checks (~40% of the inner
-// loop), and compiled filters skip instruction decode entirely (~1/3
-// the cost) — the ratios the real-time benchmarks in bench_test.go
-// measure.
+// *checked* interpreter step; the two §7 strategies run the same flat
+// code and are priced as the paper proposes them: ahead-of-time
+// validation removes the per-instruction validity/bounds/stack checks
+// (~40% of the inner loop, charged per executed word), and compiling
+// to machine code skips instruction decode entirely (~1/3 the cost of
+// the whole program).
 func (b *Binding) Eval(frame []byte) (accept bool, instrs int) {
 	switch b.cfg.mode {
 	case EvalFast:
-		r := b.pv.Run(frame)
+		r := b.fp.Run(frame)
 		accept, instrs = r.Accept, (r.Instrs*3+4)/5
 	case EvalCompiled:
-		accept, instrs = b.compiled.Run(frame), (b.compiled.Info().Instrs+2)/3
+		accept, instrs = b.fp.Run(frame).Accept, (b.fp.Info().Instrs+2)/3
 	default:
 		var r filter.Result
 		if b.cfg.ext {
@@ -180,8 +172,9 @@ func (b *Binding) FilterStats() PortStats {
 // filter.Table.Insert/Remove and swaps the pointer, so a match pass
 // that snapshotted the old pointer finishes on a consistent table while
 // the new one is already published — the RCU discipline that keeps
-// matching stall-free under churn.  nil means "no table built yet"; the
-// next match builds one from scratch.
+// matching stall-free under churn.  nil means "no table built yet": the
+// first bind builds one, and a match before it (or after a crash)
+// builds an empty one.
 //
 // The scan index is what lets a governor-off table match visit only the
 // ports the table names instead of walking every port.  slotPort maps
@@ -195,10 +188,6 @@ func (b *Binding) FilterStats() PortStats {
 type TableIndex[P any] struct {
 	cfg bindCfg
 	gov *GovConfig
-	// full disables incremental maintenance: every churn event throws
-	// the table away and the next match rebuilds it from scratch — the
-	// exp-churn baseline (pfdev's Options.FullRebuild).
-	full bool
 
 	ports  []P        // sorted: priority desc, busy-first within priority
 	binds  []*Binding // binds[i] is ports[i]'s
@@ -222,8 +211,8 @@ type TableIndex[P any] struct {
 	// Table-maintenance accounting (deterministic units from
 	// filter.Table.Work): TableBuilds counts from-scratch builds,
 	// TablePatches incremental insert/remove patches, and tableWork the
-	// cumulative construction work — the churn benchmark's "rebuild
-	// stall" metric.
+	// cumulative construction work — the churn benchmark's maintenance
+	// cost.
 	TableBuilds  uint64
 	TablePatches uint64
 	tableWork    uint64
@@ -232,11 +221,9 @@ type TableIndex[P any] struct {
 // Setup configures the index before the first port opens: the
 // evaluation mode, the §7 extensions switch and filter environment, and
 // the governor (gov must stay valid for the index's lifetime).
-// fullRebuild selects the from-scratch-on-churn baseline.
-func (x *TableIndex[P]) Setup(mode EvalMode, ext bool, env filter.Env, gov *GovConfig, fullRebuild bool) {
+func (x *TableIndex[P]) Setup(mode EvalMode, ext bool, env filter.Env, gov *GovConfig) {
 	x.cfg = bindCfg{mode: mode, env: env, ext: ext, gov: gov.Enabled}
 	x.gov = gov
-	x.full = fullRebuild
 }
 
 // AddPort numbers a newly opened port and appends it to the scan
@@ -311,15 +298,14 @@ type Match struct {
 
 // Tally is what a match pass did, in the units the simulated device
 // prices (§6.1): filters applied, the fixed FilterApply setups still
-// owed after burst amortization, instruction units interpreted plus
-// decision-tree edges walked, and decision-table construction work done
-// on the match path.  QuarSkip reports that a quarantined filter was
-// skipped, so a no-match outcome is the governor's doing (DropQuota).
+// owed after burst amortization, and instruction units interpreted plus
+// decision-tree edges walked.  QuarSkip reports that a quarantined
+// filter was skipped, so a no-match outcome is the governor's doing
+// (DropQuota).
 type Tally struct {
 	Applied  int
 	Setups   int
 	Units    int
-	Rebuild  uint64
 	QuarSkip bool
 }
 
@@ -399,14 +385,12 @@ func (x *TableIndex[P]) linearMatch(frame []byte, dst []P, m *Match) []P {
 // fallbacks interpreted (fallbacks past the stopping port never run).
 // Fallbacks charge their own runs; the walk's edges are split evenly
 // across the reached tree-accepting ports (remainder to the first;
-// port -1 in the trace when the walk benefited no reached port).  A
-// table built from scratch here, under the full-rebuild baseline, is a
-// stall the frame waits on: its construction work goes in the tally.
+// port -1 in the trace when the walk benefited no reached port).  The
+// table is nil here only before the first bind or after a crash, when
+// no filter is bound, so the empty table built then costs no work.
 func (x *TableIndex[P]) tableMatch(frame []byte, dst []P, m *Match) []P {
 	if x.table == nil {
-		w0 := x.tableWork
 		x.rebuildTable()
-		m.Rebuild = x.tableWork - w0
 	}
 	tbl := x.table
 	slots, tree, edges := tbl.Candidates(frame)
@@ -531,9 +515,9 @@ func (x *TableIndex[P]) scanSet(slots []int) ([]P, []*Binding) {
 	return set, binds
 }
 
-// rebuildTable compiles the full filter set from scratch — the first
-// bind under incremental maintenance (at setfilter time), or any churn
-// under the full-rebuild baseline (on the match path, as a stall).
+// rebuildTable compiles the full filter set from scratch: at the first
+// bind (setfilter time), or an empty table at a match before it or
+// after a crash.
 func (x *TableIndex[P]) rebuildTable() {
 	var filters []filter.Filter
 	var ports []P
@@ -557,17 +541,11 @@ func (x *TableIndex[P]) rebuildTable() {
 }
 
 // tableInsertPort patches the port's current filter into the published
-// table (or schedules a full rebuild under the baseline).  The first
-// bind builds the table eagerly: under incremental maintenance all
-// construction happens at setfilter/close time, so the match path
-// never compiles — the from-scratch-on-match path is the full-rebuild
-// baseline's alone.
+// table.  The first bind builds the table eagerly: all construction
+// happens at setfilter/close time, so the match path never compiles a
+// bound filter.
 func (x *TableIndex[P]) tableInsertPort(p P, b *Binding) {
 	if x.cfg.mode != EvalTable || b.prog == nil {
-		return
-	}
-	if x.full {
-		x.table = nil
 		return
 	}
 	if x.table == nil {
@@ -588,18 +566,9 @@ func (x *TableIndex[P]) tableInsertPort(p P, b *Binding) {
 	x.tableWork += uint64(nt.Work() - before)
 }
 
-// tableRemovePort patches the port's filter out of the published table
-// (or schedules a full rebuild under the baseline).
+// tableRemovePort patches the port's filter out of the published table.
 func (x *TableIndex[P]) tableRemovePort(b *Binding) {
-	if x.cfg.mode != EvalTable {
-		return
-	}
-	if x.full {
-		x.table = nil
-		b.slot = -1
-		return
-	}
-	if x.table == nil || b.slot < 0 {
+	if x.cfg.mode != EvalTable || x.table == nil || b.slot < 0 {
 		return
 	}
 	before := x.table.Work()

@@ -70,7 +70,7 @@ func (d *Device) OpenPrivileged(p *sim.Proc) *Port {
 // SetFilter binds a filter to the port via ioctl; "a new filter can be
 // bound at any time, at a cost comparable to that of receiving a
 // packet" (§3).  Under EvalFast/EvalCompiled the program is validated
-// or compiled here, at bind time, not per packet.
+// and compiled to flat code here, at bind time, not per packet.
 func (port *Port) SetFilter(p *sim.Proc, f filter.Filter) error {
 	p.Syscall("pf")
 	p.CopyIn("pf", 2+2*len(f.Program))
