@@ -17,8 +17,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
+	"repro/internal/clock"
 	"repro/internal/ethersim"
 	"repro/internal/filter"
 	"repro/internal/live"
@@ -127,13 +129,16 @@ func BenchmarkFilterSet20Table(b *testing.B) {
 // last-opened port (drained every 32 frames), a miss is a kernel drop.
 // The linear scan evaluates every filter up to the hit; the table's
 // scan index keeps both cases flat in the number of open ports.
+// reads/op is the device's wall-clock readings per frame, the drains'
+// one per 32 hits included.
 func BenchmarkLiveInput(b *testing.B) {
 	for _, c := range []struct {
 		mode  string
 		eval  pfdev.EvalMode
 		ports int
 	}{{"checked", pfdev.EvalChecked, 64}, {"table", pfdev.EvalTable, 64}, {"table", pfdev.EvalTable, 1024}} {
-		d := live.NewDevice(live.Options{Link: ethersim.Ether3Mb, Mode: c.eval})
+		clk := &countingClock{Clock: clock.NewWall()}
+		d := live.NewDevice(live.Options{Link: ethersim.Ether3Mb, Mode: c.eval, Clock: clk})
 		var target *live.Port
 		for i := 0; i < c.ports; i++ {
 			target = d.Open()
@@ -147,17 +152,30 @@ func BenchmarkLiveInput(b *testing.B) {
 		}{{"hit", benchPacket(uint32(0x100 + c.ports - 1))}, {"miss", benchPacket(0x99)}} {
 			b.Run(c.mode+"/ports="+strconv.Itoa(c.ports)+"/"+f.name, func(b *testing.B) {
 				b.ReportAllocs()
+				clk.reads = 0
 				for i := 0; i < b.N; i++ {
 					d.Input(f.frame)
 					if i%32 == 31 {
 						target.ReadBatch(0, -1)
 					}
 				}
+				b.ReportMetric(float64(clk.reads)/float64(b.N), "reads/op")
 				target.ReadBatch(0, -1)
 			})
 		}
 		d.Close()
 	}
+}
+
+// countingClock counts the readings taken of the clock it wraps.
+type countingClock struct {
+	clock.Clock
+	reads int
+}
+
+func (c *countingClock) Now() time.Duration {
+	c.reads++
+	return c.Clock.Now()
 }
 
 func BenchmarkPairPredicate(b *testing.B) {

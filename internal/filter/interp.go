@@ -75,69 +75,74 @@ func run(p Program, pkt []byte, env Env, ext bool, fuel int) Result {
 		// Stack action first (figure 3-6).
 		var push uint16
 		doPush := true
-		switch {
-		case a == NOPUSH:
-			doPush = false
-		case a == PUSHLIT:
-			pc++
-			if pc >= len(p) {
-				return fail(pc-1, ErrMissingOper)
-			}
-			push = uint16(p[pc])
-		case a == PUSHZERO:
-			push = 0
-		case a == PUSHONE:
-			push = 1
-		case a == PUSHFFFF:
-			push = 0xFFFF
-		case a == PUSHFF00:
-			push = 0xFF00
-		case a == PUSH00FF:
-			push = 0x00FF
-		case a == PUSHIND:
-			if !ext {
-				return fail(pc, ErrExtension)
-			}
-			if sp < 1 {
-				return fail(pc, ErrUnderflow)
-			}
-			sp--
-			v, ok := PacketWord(pkt, int(stack[sp]))
-			if !ok {
-				return fail(pc, ErrWordIndex)
-			}
-			push = v
-		case a == PUSHHDRLEN:
-			if !ext {
-				return fail(pc, ErrExtension)
-			}
-			push = uint16(env.HeaderWords)
-		case a == PUSHPKTLEN:
-			if !ext {
-				return fail(pc, ErrExtension)
-			}
-			push = uint16(len(pkt))
-		case a == PUSHBYTE:
-			if !ext {
-				return fail(pc, ErrExtension)
-			}
-			pc++
-			if pc >= len(p) {
-				return fail(pc-1, ErrMissingOper)
-			}
-			n := int(p[pc])
-			if n >= len(pkt) {
-				return fail(pc-1, ErrWordIndex)
-			}
-			push = uint16(pkt[n])
-		case a >= PUSHWORD:
+		// A packet-word push is about half of every socket filter, so it
+		// is tested first; the other actions are a dense set of
+		// constants, dispatched in one indexed jump.
+		if a >= PUSHWORD {
 			v, ok := PacketWord(pkt, int(a-PUSHWORD))
 			if !ok {
 				return fail(pc, ErrWordIndex)
 			}
 			push = v
-		default:
-			return fail(pc, ErrBadAction)
+		} else {
+			switch a {
+			case NOPUSH:
+				doPush = false
+			case PUSHLIT:
+				pc++
+				if pc >= len(p) {
+					return fail(pc-1, ErrMissingOper)
+				}
+				push = uint16(p[pc])
+			case PUSHZERO:
+				push = 0
+			case PUSHONE:
+				push = 1
+			case PUSHFFFF:
+				push = 0xFFFF
+			case PUSHFF00:
+				push = 0xFF00
+			case PUSH00FF:
+				push = 0x00FF
+			case PUSHIND:
+				if !ext {
+					return fail(pc, ErrExtension)
+				}
+				if sp < 1 {
+					return fail(pc, ErrUnderflow)
+				}
+				sp--
+				v, ok := PacketWord(pkt, int(stack[sp]))
+				if !ok {
+					return fail(pc, ErrWordIndex)
+				}
+				push = v
+			case PUSHHDRLEN:
+				if !ext {
+					return fail(pc, ErrExtension)
+				}
+				push = uint16(env.HeaderWords)
+			case PUSHPKTLEN:
+				if !ext {
+					return fail(pc, ErrExtension)
+				}
+				push = uint16(len(pkt))
+			case PUSHBYTE:
+				if !ext {
+					return fail(pc, ErrExtension)
+				}
+				pc++
+				if pc >= len(p) {
+					return fail(pc-1, ErrMissingOper)
+				}
+				n := int(p[pc])
+				if n >= len(pkt) {
+					return fail(pc-1, ErrWordIndex)
+				}
+				push = uint16(pkt[n])
+			default:
+				return fail(pc, ErrBadAction)
+			}
 		}
 		if doPush {
 			if sp >= StackDepth {

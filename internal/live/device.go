@@ -278,7 +278,7 @@ func (d *Device) input(frame []byte, queue int) {
 	span := d.tr.SpanOrigin(now, d.name)
 	d.received++
 	if d.opt.Gov.Enabled && !d.adm.Admit(d.backlog(), &d.opt.Gov) {
-		d.shedFrame(span)
+		d.shedFrame(span, now)
 		return
 	}
 	if d.tr != nil {
@@ -292,11 +292,16 @@ func (d *Device) input(frame []byte, queue int) {
 
 	// The match runs on the arrival reading: governor admission and
 	// FilterEval timestamps share the instant the frame entered, as in
-	// the simulator.
+	// the simulator.  Untraced, that one reading also stamps the drop or
+	// the enqueue; only a tracer pays for a post-match reading, which
+	// keeps its demux, filter and queue marks in order.
 	m := pfdev.Match{Now: now, Tracer: d.tr, Host: d.name}
 	ports := d.idx.Match(frame, d.portScratch[:0], &m)
-	after := d.clk.Now()
-	d.tr.SpanMark(span, trace.StageFilter, after)
+	after := now
+	if d.tr != nil {
+		after = d.clk.Now()
+		d.tr.SpanMark(span, trace.StageFilter, after)
+	}
 	if len(ports) == 0 {
 		d.kernelDrops++
 		pfdev.DropUnmatched(d.tr, after, d.name, span, m.QuarSkip)
@@ -308,7 +313,7 @@ func (d *Device) input(frame []byte, queue int) {
 		if i > 0 {
 			s = d.tr.SpanFork(span, after, d.name)
 		}
-		port.enqueue(frame, now, s)
+		port.enqueue(frame, now, after, s)
 	}
 	d.portScratch = ports[:0]
 }
@@ -321,11 +326,11 @@ func (d *Device) TableMaint() (builds, patches uint64) {
 	return d.idx.TableBuilds, d.idx.TablePatches
 }
 
-// enqueue adds a packet to the port queue (device lock held) and wakes
-// blocked readers; overflow drops mirror pfdev's accounting.
-func (port *Port) enqueue(frame []byte, arrived time.Duration, span uint64) {
+// enqueue adds a packet that arrived at arrived to the port queue at
+// now (device lock held) and wakes blocked readers; overflow drops
+// mirror pfdev's accounting.
+func (port *Port) enqueue(frame []byte, arrived, now time.Duration, span uint64) {
 	d := port.dev
-	now := d.clk.Now()
 	if port.Full(0) {
 		port.Overflow(d.tr, now, port.ID(), span, trace.DropPortQueue)
 		return

@@ -9,17 +9,20 @@ package live
 // file is what genuinely differs: the backlog signal (the live device
 // has no virtual pending-delivery queue) and the shed accounting.
 
-import "repro/internal/trace"
+import (
+	"time"
+
+	"repro/internal/trace"
+)
 
 // backlog is the admission controller's load signal.  The live device
 // enqueues synchronously (no deferred "pf" CPU charge), so the backlog
 // is exactly the queued total.
 func (d *Device) backlog() int { return d.queuedTotal }
 
-// shedFrame accounts one frame refused at demux entry.
-func (d *Device) shedFrame(span uint64) {
+// shedFrame accounts one frame refused at demux entry at now.
+func (d *Device) shedFrame(span uint64, now time.Duration) {
 	d.kernelDrops++
-	now := d.clk.Now()
 	if d.tr != nil {
 		d.tr.Drop(now, d.name, "admission")
 	}
