@@ -1,9 +1,9 @@
 // Package parsim runs independent simulation trials across real OS
-// threads.  A sim.Sim is fully deterministic and fully isolated — the
-// lockstep scheduler means exactly one goroutine per universe is ever
-// runnable, every universe has its own clock, event heap, hosts,
-// tracer and metrics, and nothing package-level is mutated on the hot
-// path — so N trials with disjoint Sims can execute concurrently with
+// threads.  A sim.Sim is fully deterministic and fully isolated — its
+// event loop runs on Run's caller and resumes processes as coroutines,
+// so exactly one goroutine per universe is ever running, every
+// universe has its own clock, event heap, hosts, tracer and metrics,
+// and nothing package-level is mutated on the hot path — so N trials with disjoint Sims can execute concurrently with
 // no locking and bit-identical results.  This package is the worker
 // pool that exploits that: multi-seed suites (the chaos soak, the
 // equivalence properties, benchmark sweeps) run trials in parallel and

@@ -100,10 +100,9 @@ func TestMapPanicLowestTrial(t *testing.T) {
 	})
 }
 
-// TestMapCapturesPanicFromProcessGoroutine: a simulation's event
-// callbacks run on whichever goroutine holds its event loop — often a
-// parked process's, not the worker's.  A callback that panics there
-// must still surface in the trial's Run and fail that trial only.
+// TestMapCapturesPanicFromProcessGoroutine: an event callback that
+// panics while a process is parked must surface in the trial's Run and
+// fail that trial only.
 func TestMapCapturesPanicFromProcessGoroutine(t *testing.T) {
 	var finished atomic.Int64
 	defer func() {
@@ -120,7 +119,7 @@ func TestMapCapturesPanicFromProcessGoroutine(t *testing.T) {
 		h := s.NewHost("a")
 		s.Spawn(h, "bystander", func(p *sim.Proc) { p.Sleep(10 * time.Millisecond) })
 		if i == 2 {
-			// Fires while the parked bystander runs the loop.
+			// Fires while the bystander is parked.
 			s.After(5*time.Millisecond, func() { panic("handler boom") })
 		}
 		s.Run(0)

@@ -12,7 +12,7 @@ import (
 // operations inside one Run; EXPERIMENTS.md records them.
 
 // BenchmarkSleep is the self-resume path: one process, one timer event
-// per operation, nobody else to hand the baton to.
+// and one coroutine resume per operation.
 func BenchmarkSleep(b *testing.B) {
 	s := New(vtime.DefaultCosts())
 	h := s.NewHost("a")
@@ -27,7 +27,7 @@ func BenchmarkSleep(b *testing.B) {
 }
 
 // BenchmarkWaitWake is the cross-process path: two processes wake each
-// other in turn, so every operation is one genuine goroutine hand-off.
+// other in turn, so every operation resumes the other process.
 func BenchmarkWaitWake(b *testing.B) {
 	s := New(vtime.DefaultCosts())
 	h := s.NewHost("a")

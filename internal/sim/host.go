@@ -34,13 +34,9 @@ type Host struct {
 	// path allocation-free.
 	running    *cpuReq
 	runEpoch   uint64
+	grant      *event // the completion event of running
 	completeFn func()
 	reqFree    []*cpuReq
-
-	// finishing is the process grant whose completion has resumed its
-	// process and still owes finish's tail; see finish.
-	finishing *cpuReq
-	finishFn  func()
 
 	// lifecycle state for fault injection: a paused host stops
 	// granting its CPU but keeps all queued work; a crashed host
@@ -90,12 +86,6 @@ type cpuReq struct {
 func (s *Sim) NewHost(name string) *Host {
 	h := &Host{sim: s, name: name, KernelTime: make(map[string]time.Duration)}
 	h.completeFn = h.complete
-	h.finishFn = func() {
-		r := h.finishing
-		h.finishing = nil
-		h.putReq(r)
-		h.pump()
-	}
 	s.hosts = append(s.hosts, h)
 	return h
 }
@@ -199,31 +189,34 @@ func (h *Host) laneComplete(l *kernelLane) {
 	l.busy = false
 	r := l.running
 	l.running = nil
-	if h.epoch != l.runEpoch {
-		// The host crashed while this lane work was in flight: the
-		// kernel half is lost.
-		h.putReq(r)
-		h.lanePump(l)
-		return
-	}
-	h.KernelTime[r.tag] += r.d
-	if tr := h.sim.tracer; tr != nil {
-		tr.KernelTime(h.name, r.tag, r.d)
-	}
-	if r.fn != nil {
-		r.fn()
+	// A crash while this lane work was in flight loses its kernel half.
+	if h.epoch == l.runEpoch {
+		h.charge(r)
+		if r.fn != nil {
+			r.fn()
+		}
 	}
 	h.putReq(r)
 	h.lanePump(l)
 }
 
-// requestCPU enqueues process work; proc parks until it completes.
+// requestCPU enqueues process work and returns once it completes.
 // Called from process context via Proc.Consume and the syscall
 // helpers.
-func (h *Host) requestCPU(p *Proc, d time.Duration, kernelMode bool, tag string) {
-	h.procQ.push(h.getReq(d, p, nil, tag))
-	_ = kernelMode
+func (h *Host) requestCPU(p *Proc, d time.Duration, tag string) {
+	r := h.getReq(d, p, nil, tag)
+	h.procQ.push(r)
 	h.pump()
+	if h.running == r && h.sim.skipTo(h.grant) {
+		// The grant went to p at once and ends before anything else
+		// happens, so p completes it here instead of parking.  The
+		// queues are empty, so finishing now pumps nothing, exactly
+		// as finishing after p runs on would.
+		h.cpuBusy, h.running = false, nil
+		h.charge(r)
+		h.putReq(r)
+		return
+	}
 	p.park()
 }
 
@@ -337,7 +330,7 @@ func (h *Host) pump() {
 	h.cpuBusy = true
 	h.running = r
 	h.runEpoch = h.epoch
-	h.sim.After(d, h.completeFn)
+	h.grant = h.sim.After(d, h.completeFn)
 }
 
 // complete finishes the in-flight CPU grant.  It is scheduled by pump
@@ -347,55 +340,44 @@ func (h *Host) complete() {
 	h.cpuBusy = false
 	r := h.running
 	h.running = nil
-	if h.epoch != h.runEpoch {
-		// The host crashed while this work was in flight: the
-		// kernel half is lost, but a process is resumed so its
-		// goroutine survives the crash (it will queue for CPU
-		// again and run after Restart).
-		if r.proc != nil {
-			h.sim.runProc(r.proc)
+	// After a process grant the resumed process runs to its next park
+	// before finish — its next CPU request joins the queue ahead of the
+	// pump, and that order is in every golden hash.  Deferred, so a
+	// process that panics leaves the CPU serving the rest of the host.
+	defer h.finish(r)
+	// If the host crashed while this work was in flight, the kernel
+	// half is lost, but a process is still resumed so it survives the
+	// crash (it will queue for CPU again and run after Restart).
+	crashed := h.epoch != h.runEpoch
+	if !crashed {
+		h.charge(r)
+	}
+	if r.proc != nil {
+		h.sim.runProc(r.proc)
+	} else if r.fn != nil && !crashed {
+		r.fn()
+	}
+}
+
+// charge books a completed grant's CPU time.
+func (h *Host) charge(r *cpuReq) {
+	tr := h.sim.tracer
+	if r.proc != nil && r.tag == "user" {
+		h.UserTime += r.d
+		if tr != nil {
+			tr.UserTime(h.name, r.d)
 		}
-		h.finish(r)
 		return
 	}
-	tr := h.sim.tracer
-	if r.proc != nil {
-		if r.tag == "user" {
-			h.UserTime += r.d
-			if tr != nil {
-				tr.UserTime(h.name, r.d)
-			}
-		} else {
-			h.KernelTime[r.tag] += r.d
-			if tr != nil {
-				tr.KernelTime(h.name, r.tag, r.d)
-			}
-		}
-		h.sim.runProc(r.proc)
-	} else {
-		h.KernelTime[r.tag] += r.d
-		if tr != nil {
-			tr.KernelTime(h.name, r.tag, r.d)
-		}
-		if r.fn != nil {
-			r.fn()
-		}
+	h.KernelTime[r.tag] += r.d
+	if tr != nil {
+		tr.KernelTime(h.name, r.tag, r.d)
 	}
-	h.finish(r)
 }
 
 // finish ends complete: recycle the request and grant the CPU to the
-// next one.  After a process grant the resumed process must run
-// before this tail — its next CPU request joins the queue ahead of
-// the pump, and that order is in every golden hash — but runProc only
-// marks it, so the tail waits in Sim.cont until the process parks or
-// exits.
+// next one.
 func (h *Host) finish(r *cpuReq) {
-	if r.proc != nil {
-		h.finishing = r
-		h.sim.cont = h.finishFn
-		return
-	}
 	h.putReq(r)
 	h.pump()
 }

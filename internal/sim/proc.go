@@ -1,18 +1,28 @@
+//go:build go1.23
+
+// The build line lifts this file to go1.23 for the iter package; go.mod
+// stays at go 1.22 because the benchmark module's go.mod says 1.22.
+
 package sim
 
 import (
+	"iter"
 	"time"
 )
 
 // Proc is one simulated user process.  All its methods except Name
-// must be called from the process's own goroutine (inside the function
+// must be called from the process's own body (inside the function
 // passed to Spawn).
 type Proc struct {
-	sim    *Sim
-	host   *Host
-	name   string
-	resume chan struct{}
-	done   bool
+	sim  *Sim
+	host *Host
+	name string
+	done bool
+
+	// next resumes the body until its next yield (a park) and reports
+	// false once the body has returned; see runProc.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// blocked records that the process slept on a wait queue since
 	// its last CPU grant; the next grant charges a context switch
@@ -39,15 +49,15 @@ type Proc struct {
 // when the event loop next runs.  Spawn may be called from any
 // context.
 func (s *Sim) Spawn(h *Host, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, host: h, name: name, resume: make(chan struct{}, 1)}
+	p := &Proc{sim: s, host: h, name: name}
 	p.resumeFn = func() { s.runProc(p) }
 	p.timeoutFn = p.waitTimedOut
-	go func() {
-		<-p.resume
+	// The stop function is dropped: a process that never returns stays
+	// parked for the life of the program.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
-		p.done = true
-		s.dispatch(p)
-	}()
+	})
 	s.schedule(p)
 	return p
 }
@@ -64,26 +74,27 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.sim.now }
 
-// park runs the event loop until something resumes this process.
+// park switches back to the event that resumed this process; it
+// returns when an event resumes it again.
 func (p *Proc) park() {
 	if p.sim.current != p {
 		panic("sim: park from wrong context")
 	}
-	p.sim.dispatch(p)
+	p.yield(struct{}{})
 }
 
 // Consume charges d of user-mode CPU time, competing with other work
 // on this host's processor.
 func (p *Proc) Consume(d time.Duration) {
 	p.sim.assertProc("Consume")
-	p.host.requestCPU(p, d, false, "user")
+	p.host.requestCPU(p, d, "user")
 }
 
 // ConsumeKernel charges d of kernel-mode CPU on behalf of this
 // process (the kernel half of a system call), accounted under tag.
 func (p *Proc) ConsumeKernel(tag string, d time.Duration) {
 	p.sim.assertProc("ConsumeKernel")
-	p.host.requestCPU(p, d, true, tag)
+	p.host.requestCPU(p, d, tag)
 }
 
 // Sleep suspends the process for d of virtual time without consuming
@@ -153,20 +164,5 @@ func (p *Proc) Mapped(tag string, n int) {
 	p.sim.Counters.BytesMapped += uint64(n)
 	if tr := p.sim.tracer; tr != nil {
 		tr.Mapped(p.sim.now, h.name, p.name, tag, n)
-	}
-}
-
-// Exit marks the process finished; it must be the last statement the
-// process executes (it simply documents intent — returning from the
-// Spawn function has the same effect).
-func (p *Proc) Exit() {}
-
-// Spin runs a CPU-bound loop forever in quanta of q; experiments use
-// it to model "other active processes" on a timesharing system
-// (§6.5.1: "If the system has other active processes, an additional
-// context switch to an unrelated process may occur").
-func (p *Proc) Spin(q time.Duration) {
-	for {
-		p.Consume(q)
 	}
 }

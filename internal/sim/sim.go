@@ -6,13 +6,12 @@
 //
 // Protocol code in this repository is written in ordinary blocking
 // style (read, write, wait); under the hood each simulated process is
-// a goroutine, and exactly one goroutine — a process or Run's caller —
-// is ever runnable, so simulations are fully deterministic and need no
-// locking.  No goroutine is the event loop: whoever parks runs it,
-// popping events on its own goroutine until one resumes a process —
-// itself (it just returns) or another (one channel send; see
-// dispatch).  "Event-loop context" below means code run from an
-// event, on whichever goroutine that is.
+// an iter.Pull coroutine.  The event loop runs on Run's caller: an
+// event that resumes a process switches to it on the spot, and the
+// process switches back when it parks again or returns, so exactly one
+// of them runs at a time and simulations are fully deterministic and
+// need no locking.  "Event-loop context" below means code run from an
+// event, outside every process body.
 //
 // The paper's performance arguments are about counts: how many context
 // switches, system calls and copies a received packet costs under each
@@ -52,19 +51,11 @@ type Sim struct {
 	Counters vtime.Counters
 
 	current *Proc // process currently executing, nil in event loop
+	running bool  // a Run is on the stack
 
-	// The baton (see dispatch).  next is the process the running event
-	// asked to resume, cont the rest of that event, run once the
-	// process has parked again.  main wakes Run's caller when the
-	// goroutine holding the loop runs out of work, failure carries a
-	// panic there from an event that ran on a process goroutine, and
-	// transfers counts baton hand-overs for the tests.
-	running   bool
-	next      *Proc
-	cont      func()
-	main      chan struct{}
-	failure   any
-	transfers uint64
+	// resumes counts process resumptions, one coroutine switch in and
+	// one back each, for the tests.
+	resumes uint64
 
 	// free recycles fired events so the per-packet hot path (every
 	// CPU grant is one sim.After) allocates nothing in steady state.
@@ -73,7 +64,7 @@ type Sim struct {
 
 // New creates a simulation with the given cost model.
 func New(costs vtime.Costs) *Sim {
-	return &Sim{costs: costs, main: make(chan struct{}, 1)}
+	return &Sim{costs: costs}
 }
 
 // Now returns the current virtual time.
@@ -222,125 +213,53 @@ func (t *Timer) Stop() {
 // would pass limit (0 means no limit; a limit already behind the clock
 // runs nothing and leaves the clock alone).  It returns the virtual
 // time at which it stopped.  Run must not be called from process
-// context.  A panic in an event callback surfaces here, whichever
-// goroutine the callback ran on.
+// context.  Events, and the process bodies they resume, run on Run's
+// caller as ordinary calls: a panic in either surfaces here, and a
+// runtime.Goexit in either ends Run's caller.
 func (s *Sim) Run(limit time.Duration) time.Duration {
 	s.assertEventLoop("Run")
 	if s.running {
 		panic("sim: Run re-entered from an event callback")
 	}
-	s.running = true
-	defer func() { s.running = false }()
-	s.limit = limit
-	if p := s.loop(); p != nil {
-		s.handTo(p)
-		<-s.main
-		if f := s.failure; f != nil {
-			s.failure = nil
-			panic(f)
+	s.running, s.limit = true, limit
+	defer func() { s.running, s.current = false, nil }()
+	for s.due() {
+		if fn := s.take(); fn != nil {
+			fn()
 		}
+	}
+	if len(s.events) > 0 && limit > s.now {
+		s.now = limit
 	}
 	return s.now
 }
 
-// loop runs events on the calling goroutine until one of them resumes
-// a process, and returns that process with the clock at that event.
-// It returns nil when the queue is empty or the next event lies past
-// the limit.
-func (s *Sim) loop() *Proc {
-	for {
-		if c := s.cont; c != nil {
-			s.cont = nil
-			c()
-		}
-		if len(s.events) == 0 {
-			return nil
-		}
-		if s.limit > 0 && s.events[0].when > s.limit {
-			if s.limit > s.now {
-				s.now = s.limit
-			}
-			return nil
-		}
-		it := s.pop()
-		s.now = it.when
-		// Recycle before running: fn may schedule new events and is
-		// welcome to reuse this one (its gen is bumped on reuse).
-		fn := it.e.fn
-		it.e.fn = nil
-		s.free = append(s.free, it.e)
-		if fn == nil {
-			continue
-		}
-		fn()
-		if p := s.next; p != nil {
-			s.next = nil
-			return p
-		}
-	}
+// due reports whether the running Run has an event to fire before its
+// limit.
+func (s *Sim) due() bool {
+	return len(s.events) > 0 && (s.limit == 0 || s.events[0].when <= s.limit)
 }
 
-// dispatch is what a process does instead of yielding to an event-loop
-// goroutine: on parking (or exiting) it runs the loop itself, until
-//
-//	(a) an event resumes this very process: return, no goroutine switch;
-//	(b) an event resumes another process: hand it the baton with one
-//	    send, then block until someone resumes this one;
-//	(c) nothing is left to run before Run's limit: wake Run's caller
-//	    and block likewise.
-//
-// s.current is nil exactly while loop code runs, on any goroutine.
-func (s *Sim) dispatch(self *Proc) {
-	s.current = nil
-	switch next := s.guardedLoop(self); next {
-	case self:
-		s.current = self
-		return
-	case nil:
-		s.transfers++
-		s.main <- struct{}{}
-	default:
-		s.handTo(next)
-	}
-	if !self.done {
-		<-self.resume
-	}
+// take pops the next event, moves the clock to it and returns its func.
+// The event is recycled first: the func may schedule new events and is
+// welcome to reuse this one (its gen is bumped on reuse).
+func (s *Sim) take() func() {
+	it := s.pop()
+	s.now = it.when
+	fn := it.e.fn
+	it.e.fn = nil
+	s.free = append(s.free, it.e)
+	return fn
 }
 
-// handTo passes the baton to p's goroutine.
-func (s *Sim) handTo(p *Proc) {
-	s.current = p
-	s.transfers++
-	p.resume <- struct{}{}
-}
-
-// guardedLoop is loop on a process goroutine, where an event callback
-// that panics or calls runtime.Goexit (t.FailNow in a handler) must
-// neither unwind the bystander process holding the loop nor strand
-// Run's caller.  A panic is recovered and handed to Run to re-panic;
-// the process parks as if the loop had run dry and stays resumable.
-// Goexit cannot be stopped, so the process is written off and its
-// goroutine held here, where its deferred calls cannot race with
-// Run's caller.
-func (s *Sim) guardedLoop(self *Proc) (next *Proc) {
-	returned := false
-	defer func() {
-		if returned {
-			return
-		}
-		if s.failure = recover(); s.failure != nil {
-			next = nil
-			return
-		}
-		s.failure = fmt.Sprintf("sim: an event callback called runtime.Goexit (t.FailNow in a handler?) on the goroutine of process %q", self.name)
-		self.done = true
-		s.transfers++
-		s.main <- struct{}{}
-		select {}
-	}()
-	next = s.loop()
-	returned = true
-	return next
+// skipTo takes e from process context, without running it, if e is
+// the next event Run would fire; the caller does e's work itself.
+func (s *Sim) skipTo(e *event) bool {
+	if !s.due() || s.events[0].e != e {
+		return false
+	}
+	s.take()
+	return true
 }
 
 // RunFor advances the simulation by d of virtual time.
@@ -359,17 +278,20 @@ func (s *Sim) assertProc(op string) *Proc {
 	return s.current
 }
 
-// runProc resumes p once the running event returns.  It must be the
-// event's last action: the event loop stops at this event, and any
-// work the event still owes goes in s.cont.  Event-loop context only.
+// runProc resumes p on the spot: its body runs until it parks again
+// or returns, and then the calling event carries on.  Event-loop
+// context only, so a process never resumes another from its own body.
 func (s *Sim) runProc(p *Proc) {
+	s.assertEventLoop("runProc")
 	if p.done {
 		return
 	}
-	if s.next != nil {
-		panic(fmt.Sprintf("sim: one event resumed both %q and %q", s.next.name, p.name))
+	s.current = p
+	s.resumes++
+	if _, ok := p.next(); !ok {
+		p.done = true
 	}
-	s.next = p
+	s.current = nil
 }
 
 // schedule arranges for p to resume via the event queue; safe from any
