@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/ethersim"
 	"repro/internal/filter"
@@ -16,6 +18,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	// The paper's figure 3-9 filter: accept Pup packets whose
 	// destination socket is 35, testing the most selective field
 	// first with short-circuit operators.
@@ -25,11 +34,11 @@ func main() {
 		WordEQ(1, 2).      // Ethernet type == Pup
 		Program()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("filter program (figure 3-9):")
-	fmt.Print(prog.String())
+	fmt.Fprintln(w, "filter program (figure 3-9):")
+	fmt.Fprint(w, prog.String())
 
 	// Build two Pup packets on the 3 Mb experimental Ethernet.
 	mk := func(socket uint32) []byte {
@@ -39,19 +48,19 @@ func main() {
 			Src:  pup.PortAddr{Net: 1, Host: 1, Socket: 99},
 			Data: []byte("hello"),
 		}
-		payload, err := pkt.Marshal()
-		if err != nil {
-			log.Fatal(err)
-		}
+		payload, _ := pkt.Marshal() // five bytes of data never exceed MaxData
 		return ethersim.Ether3Mb.Encode(2, 1, ethersim.EtherTypePup3Mb, payload)
 	}
 	match, miss := mk(35), mk(36)
 
 	// 1. The checked interpreter (the production engine of §4).
-	for name, pkt := range map[string][]byte{"socket 35": match, "socket 36": miss} {
-		r := filter.Run(prog, pkt)
-		fmt.Printf("checked interpreter, %s: accept=%v after %d instructions\n",
-			name, r.Accept, r.Instrs)
+	for _, c := range []struct {
+		name string
+		pkt  []byte
+	}{{"socket 35", match}, {"socket 36", miss}} {
+		r := filter.Run(prog, c.pkt)
+		fmt.Fprintf(w, "checked interpreter, %s: accept=%v after %d instructions\n",
+			c.name, r.Accept, r.Instrs)
 	}
 
 	// 2. Validated and compiled ahead of time (§7's two speedups, one
@@ -59,10 +68,10 @@ func main() {
 	// per-instruction checks.
 	fp, err := filter.CompileFlat(prog, filter.ValidateOptions{}, filter.Env{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	r := fp.Run(match)
-	fmt.Printf("compiled: accept=%v after %d instructions (max stack %d)\n",
+	fmt.Fprintf(w, "compiled: accept=%v after %d instructions (max stack %d)\n",
 		r.Accept, r.Instrs, fp.Info().MaxStack)
 
 	// 3. A whole filter set merged into one decision table (§7).
@@ -72,6 +81,7 @@ func main() {
 		filter.DstSocketFilter(5, 99),
 	}
 	tbl := filter.BuildTable(set)
-	fmt.Printf("decision table: packet for socket 36 matches filter #%d\n",
+	fmt.Fprintf(w, "decision table: packet for socket 36 matches filter #%d\n",
 		tbl.MatchBest(miss))
+	return nil
 }

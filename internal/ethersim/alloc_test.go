@@ -5,14 +5,13 @@ import (
 	"testing"
 )
 
-// TestTransmitToHandlerAllocatesOnlyKeptCopies pins the uncoalesced
+// TestUnicastFrameIsOneBufferFromTransmitToHandler pins the uncoalesced
 // wire path, Transmit through the receiving NIC's Handler, at exactly
-// three allocations per frame — the copies whose bytes someone else
-// may still hold: Transmit's copy of the caller's frame, the txJob
-// that delayed or duplicated deliveries keep referring to, and the
-// receiving interface's own copy.  The wire-busy completion and the
+// one allocation per frame: Transmit's copy of the caller's frame,
+// which the wire hands to its only receiver (see Transmit).  The job
+// rides the queue by value, and the wire-busy completion and the
 // driver entry's completion are pre-bound, not a closure per frame.
-func TestTransmitToHandlerAllocatesOnlyKeptCopies(t *testing.T) {
+func TestUnicastFrameIsOneBufferFromTransmitToHandler(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins only run without -race")
 	}
@@ -36,11 +35,84 @@ func TestTransmitToHandlerAllocatesOnlyKeptCopies(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		send()
 	}
-	if allocs := testing.AllocsPerRun(200, send); allocs != 3 {
-		t.Errorf("Transmit to Handler allocates %.1f/frame, want 3", allocs)
+	if allocs := testing.AllocsPerRun(200, send); allocs != 1 {
+		t.Errorf("Transmit to Handler allocates %.1f/frame, want 1", allocs)
 	}
 	if got != 8+201 {
 		t.Fatalf("handler saw %d frames, want %d", got, 8+201)
+	}
+}
+
+// TestBroadcastAllocatesOneBufferPerReceiver: a broadcast to k
+// receivers costs k buffers — the last receiver takes the wire's copy
+// and each of the other k-1 gets its own.
+func TestBroadcastAllocatesOneBufferPerReceiver(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	for _, k := range []int{1, 2, 5} {
+		s, net := newNet(t, Ether10Mb)
+		a := net.Attach(s.NewHost("a"), 1)
+		got := 0
+		for i := 0; i < k; i++ {
+			net.Attach(s.NewHost("b"), Addr(2+i)).Handler = func([]byte) { got++ }
+		}
+		frame := Ether10Mb.Encode(Broadcast10Mb, 1, EtherTypeARP, make([]byte, 46))
+		send := func() {
+			if err := a.Transmit(frame); err != nil {
+				t.Fatal(err)
+			}
+			s.Run(0)
+		}
+		for i := 0; i < 8; i++ {
+			send()
+		}
+		if allocs := testing.AllocsPerRun(200, send); allocs != float64(k) {
+			t.Errorf("broadcast to %d receivers allocates %.1f/frame, want %d", k, allocs, k)
+		}
+		if got != k*(8+201) {
+			t.Fatalf("%d receivers saw %d frames, want %d", k, got, k*(8+201))
+		}
+	}
+}
+
+type dupAll struct{}
+
+func (dupAll) Frame(uint64, []byte) Verdict {
+	v := NoFault
+	v.Dup = true
+	return v
+}
+
+// TestDuplicatedFrameAllocations: a duplicated unicast frame costs two
+// buffers — its first delivery copies, the duplicate takes the wire's
+// copy — plus the one closure that carries the job to the duplicate's
+// delivery.
+func TestDuplicatedFrameAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	s, net := newNet(t, Ether10Mb)
+	net.SetInjector(dupAll{})
+	a := net.Attach(s.NewHost("a"), 1)
+	b := net.Attach(s.NewHost("b"), 2)
+	got := 0
+	b.Handler = func([]byte) { got++ }
+	frame := Ether10Mb.Encode(2, 1, EtherTypePup, make([]byte, 100))
+	send := func() {
+		if err := a.Transmit(frame); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(0)
+	}
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs != 3 {
+		t.Errorf("duplicated frame allocates %.1f, want 3 (two buffers and the duplicate's closure)", allocs)
+	}
+	if got != 2*(8+201) {
+		t.Fatalf("handler saw %d frames, want %d", got, 2*(8+201))
 	}
 }
 

@@ -183,10 +183,12 @@ type Network struct {
 	// duplicate it ordered live here, and a single pre-bound callback
 	// (wireDoneFn) completes every transmission.  txq pops from
 	// txHead instead of reslicing, which reuses its backing array.
+	// Jobs ride by value; only a delayed or duplicated delivery's
+	// closure captures one.
 	wireBusy   bool
-	txq        []*txJob
+	txq        []txJob
 	txHead     int
-	onWire     *txJob
+	onWire     txJob
 	verdict    Verdict
 	dupSpan    uint64
 	wireDoneFn func()
@@ -223,7 +225,8 @@ type Verdict struct {
 	// transport checksums must catch.  -1 means no corruption.
 	FlipBit int
 	// Dup delivers the frame a second time, DupDelay after the
-	// first delivery.
+	// first delivery.  A negative DupDelay counts as zero, so the
+	// duplicate is always the frame's last delivery.
 	Dup      bool
 	DupDelay time.Duration
 	// Delay postpones delivery by this much after the frame leaves
@@ -237,7 +240,8 @@ type Verdict struct {
 var NoFault = Verdict{FlipBit: -1}
 
 // An Injector decides per wire frame (1-based index) which faults to
-// apply.  It runs in event-loop context and must be deterministic.
+// apply.  It runs in event-loop context and must be deterministic.  It
+// must not keep frame: the wire hands that buffer to a receiver.
 type Injector interface {
 	Frame(index uint64, frame []byte) Verdict
 }
@@ -274,13 +278,16 @@ type NIC struct {
 
 	// Handler receives each accepted frame.  It runs in event-loop
 	// context and must not block; it may consume further kernel CPU
-	// via host.RunKernel.
+	// via host.RunKernel.  The handler owns the frame outright: no
+	// other interface, tap or later delivery of the same transmission
+	// shares its backing array, so it may keep or overwrite it.
 	Handler func(frame []byte)
 
 	// BurstHandler, when set, receives coalesced receive bursts (see
 	// SetCoalesce) instead of per-frame Handler calls.  With no
 	// BurstHandler the frames of a burst are handed to Handler one by
-	// one, still under a single driver entry.
+	// one, still under a single driver entry.  Each frame of a burst
+	// is owned as Handler's is.
 	BurstHandler func(frames [][]byte)
 
 	// Promiscuous makes the interface accept every frame.
@@ -560,8 +567,16 @@ func (nic *NIC) Host() *sim.Host { return nic.host }
 func (nic *NIC) Network() *Network { return nic.net }
 
 // Transmit queues a complete frame for transmission.  It may be called
-// from any context; the frame is copied.  Oversized frames are
-// rejected.
+// from any context; oversized frames are rejected.
+//
+// Frame ownership on the wire: Transmit copies the caller's frame once,
+// so the caller may reuse its buffer at once, and the wire owns that
+// copy.  The job's last delivery (the only one, or a duplicate's second)
+// hands it to the last accepting interface without a copy; every other
+// holder — the other receivers of a broadcast, promiscuous taps, and
+// every receiver of a duplicated frame's first delivery — gets its own
+// copy.  So each Handler owns its frame outright, and one unicast frame
+// costs one buffer from Transmit to Handler.
 func (nic *NIC) Transmit(frame []byte) error {
 	if len(frame) > nic.net.link.MaxFrame() {
 		return fmt.Errorf("ethersim: frame of %d bytes exceeds %d-byte maximum",
@@ -580,11 +595,11 @@ func (nic *NIC) Transmit(frame []byte) error {
 	}
 	nic.host.Counters.PacketsOut++
 	nic.host.Sim().Counters.PacketsOut++
-	nic.net.send(&txJob{frame: append([]byte(nil), frame...), from: nic, span: span})
+	nic.net.send(txJob{frame: append([]byte(nil), frame...), from: nic, span: span})
 	return nil
 }
 
-func (n *Network) send(job *txJob) {
+func (n *Network) send(job txJob) {
 	if len(n.txq) == cap(n.txq) && n.txHead > len(n.txq)/2 {
 		// A saturated wire never drains the queue: slide the live
 		// jobs down rather than let append carry the dead head into
@@ -602,7 +617,7 @@ func (n *Network) pumpWire() {
 		return
 	}
 	job := n.txq[n.txHead]
-	n.txq[n.txHead] = nil
+	n.txq[n.txHead] = txJob{}
 	n.txHead++
 	if n.txHead == len(n.txq) {
 		n.txq, n.txHead = n.txq[:0], 0
@@ -674,16 +689,19 @@ func (n *Network) pumpWire() {
 // it as its verdict says, then start the next transmission.
 func (n *Network) wireDone() {
 	job, v, dupSpan := n.onWire, n.verdict, n.dupSpan
-	n.onWire = nil
+	n.onWire = txJob{}
 	n.wireBusy = false
 	if !v.Drop {
+		// A duplicated frame's first delivery copies for every
+		// receiver; the duplicate, scheduled after it, is the last.
+		last := !v.Dup
 		if v.Delay > 0 {
-			n.s.After(v.Delay, func() { n.deliver(job, job.span) })
+			n.s.After(v.Delay, func() { n.deliver(job, job.span, last) })
 		} else {
-			n.deliver(job, job.span)
+			n.deliver(job, job.span, last)
 		}
 		if v.Dup {
-			n.s.After(v.Delay+v.DupDelay, func() { n.deliver(job, dupSpan) })
+			n.s.After(v.Delay+max(v.DupDelay, 0), func() { n.deliver(job, dupSpan, true) })
 		}
 	}
 	n.pumpWire()
@@ -692,21 +710,28 @@ func (n *Network) wireDone() {
 // deliver hands the frame to every accepting interface.  The first
 // recipient inherits the frame's span; extra broadcast/promiscuous
 // recipients get forked child spans, and a frame nobody accepts
-// terminates as DropNoReceiver.
-func (n *Network) deliver(job *txJob, span uint64) {
+// terminates as DropNoReceiver.  On the job's last delivery the last
+// accepting interface takes job.frame itself; everyone else copies
+// (see Transmit).
+func (n *Network) deliver(job txJob, span uint64, last bool) {
 	tr := n.s.Tracer()
 	dst, _, _, _, err := n.link.Decode(job.frame)
 	if err != nil {
 		tr.SpanDrop(span, n.s.Now(), job.from.host.Name(), trace.DropNoReceiver)
 		return
 	}
-	bcast := n.link.BroadcastAddr()
+	var heir *NIC
+	if last {
+		for i := len(n.nics) - 1; i >= 0; i-- {
+			if n.nics[i].accepts(dst, job.from) {
+				heir = n.nics[i]
+				break
+			}
+		}
+	}
 	delivered := false
 	for _, nic := range n.nics {
-		if nic == job.from {
-			continue
-		}
-		if !nic.Promiscuous && dst != nic.addr && dst != bcast {
+		if !nic.accepts(dst, job.from) {
 			continue
 		}
 		s := span
@@ -714,14 +739,24 @@ func (n *Network) deliver(job *txJob, span uint64) {
 			s = tr.SpanFork(span, n.s.Now(), nic.host.Name())
 		}
 		delivered = true
-		nic.receive(job.frame, s)
+		nic.receive(job.frame, s, nic == heir)
 	}
 	if !delivered {
 		tr.SpanDrop(span, n.s.Now(), job.from.host.Name(), trace.DropNoReceiver)
 	}
 }
 
-func (nic *NIC) receive(frame []byte, span uint64) {
+// accepts reports whether the interface takes a frame for dst sent by
+// from: never its own, else its address, broadcast, or anything when
+// promiscuous.
+func (nic *NIC) accepts(dst Addr, from *NIC) bool {
+	return nic != from && (nic.Promiscuous || dst == nic.addr || dst == nic.net.link.BroadcastAddr())
+}
+
+// receive queues an accepted frame for the host CPU.  With owned set
+// the interface keeps frame itself; otherwise it copies it, and only
+// once the frame is past the queue checks.
+func (nic *NIC) receive(frame []byte, span uint64, owned bool) {
 	if nic.host.Down() {
 		// Frames addressed to a crashed host fall on the floor,
 		// counted like any interface loss.
@@ -759,7 +794,10 @@ func (nic *NIC) receive(frame []byte, span uint64) {
 	}
 	q.pending++
 	q.rx++
-	own := append([]byte(nil), frame...)
+	own := frame
+	if !owned {
+		own = append([]byte(nil), frame...)
+	}
 	h.Counters.PacketsIn++
 	h.Sim().Counters.PacketsIn++
 	tr := h.Sim().Tracer()

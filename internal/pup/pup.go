@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Header sizes and limits.  "Pup (hence BSP) allows a maximum packet
@@ -80,30 +81,35 @@ var (
 	ErrBadChecksum = errors.New("pup: checksum mismatch")
 )
 
-// Marshal encodes the Pup into wire format (header, data, checksum).
+// Marshal encodes the Pup into wire format (header, data, checksum)
+// in a buffer of its own, sized exactly.
 func (p *Packet) Marshal() ([]byte, error) {
+	return p.AppendBinary(make([]byte, 0, HeaderLen+len(p.Data)+ChecksumLen))
+}
+
+// AppendBinary appends the Pup's wire format (header, data, checksum)
+// to b and returns the extended slice, growing b at most once; on
+// error it returns b unchanged.  It is Marshal into a caller's buffer,
+// in the manner of encoding.BinaryAppender.
+func (p *Packet) AppendBinary(b []byte) ([]byte, error) {
 	if len(p.Data) > MaxData {
-		return nil, ErrTooLong
+		return b, ErrTooLong
 	}
 	total := HeaderLen + len(p.Data) + ChecksumLen
-	buf := make([]byte, total)
-	binary.BigEndian.PutUint16(buf[0:], uint16(total))
-	buf[2] = p.HopCount
-	buf[3] = p.Type
-	binary.BigEndian.PutUint32(buf[4:], p.ID)
-	buf[8] = p.Dst.Net
-	buf[9] = p.Dst.Host
-	binary.BigEndian.PutUint32(buf[10:], p.Dst.Socket)
-	buf[14] = p.Src.Net
-	buf[15] = p.Src.Host
-	binary.BigEndian.PutUint32(buf[16:], p.Src.Socket)
-	copy(buf[HeaderLen:], p.Data)
+	start := len(b)
+	b = binary.BigEndian.AppendUint16(slices.Grow(b, total), uint16(total))
+	b = append(b, p.HopCount, p.Type)
+	b = binary.BigEndian.AppendUint32(b, p.ID)
+	b = append(b, p.Dst.Net, p.Dst.Host)
+	b = binary.BigEndian.AppendUint32(b, p.Dst.Socket)
+	b = append(b, p.Src.Net, p.Src.Host)
+	b = binary.BigEndian.AppendUint32(b, p.Src.Socket)
+	b = append(b, p.Data...)
 	sum := uint16(NoChecksum)
 	if p.Checksummed {
-		sum = Checksum(buf[:total-ChecksumLen])
+		sum = Checksum(b[start:])
 	}
-	binary.BigEndian.PutUint16(buf[total-ChecksumLen:], sum)
-	return buf, nil
+	return binary.BigEndian.AppendUint16(b, sum), nil
 }
 
 // Unmarshal decodes a Pup from wire format, verifying the length field

@@ -109,14 +109,9 @@ func (g *Generator) PortChurnFlood(p *sim.Proc, nic *ethersim.NIC, dst ethersim.
 			ID:   g.rng.Uint32(),
 			Dst:  pup.PortAddr{Net: 1, Host: uint8(dst), Socket: 0x4_0000 + uint32(i%4096)},
 			Src:  pup.PortAddr{Net: 1, Host: uint8(nic.Addr()), Socket: 0x9000},
-			Data: make([]byte, 16),
+			Data: pupData[:16],
 		}
-		payload, _ := pkt.Marshal()
-		etherType := ethersim.EtherTypePup3Mb
-		if g.link == ethersim.Ether10Mb {
-			etherType = ethersim.EtherTypePup
-		}
-		nic.Transmit(g.link.Encode(dst, nic.Addr(), etherType, payload))
+		nic.Transmit(g.pupEncode(dst, nic.Addr(), &pkt))
 		tr.SpanClass(tr.LastSpan(), "churn")
 		p.Sleep(interval)
 	}

@@ -124,9 +124,20 @@ func (g *Generator) pupFrame(dst, src ethersim.Addr) []byte {
 		ID:   g.rng.Uint32(),
 		Dst:  pup.PortAddr{Net: 1, Host: uint8(dst), Socket: g.pickSocket()},
 		Src:  pup.PortAddr{Net: 1, Host: uint8(src), Socket: 0x9000},
-		Data: g.zeroed(16 + g.rng.Intn(100)),
+		Data: pupData[:16+g.rng.Intn(100)],
 	}
-	payload, _ := pkt.Marshal()
+	return g.pupEncode(dst, src, &pkt)
+}
+
+// pupData is the all-zero data of every generated Pup.  AppendBinary
+// only reads it, so it can live outside scratch, which the Pup is
+// marshalled into.
+var pupData [pup.MaxData]byte
+
+// pupEncode marshals pkt into scratch and frames it, so the frame
+// Encode returns is the only allocation.
+func (g *Generator) pupEncode(dst, src ethersim.Addr, pkt *pup.Packet) []byte {
+	payload, _ := pkt.AppendBinary(g.scratch[:0]) // generated data never exceeds MaxData
 	etherType := ethersim.EtherTypePup3Mb
 	if g.link == ethersim.Ether10Mb {
 		etherType = ethersim.EtherTypePup
