@@ -167,6 +167,44 @@ func BenchmarkLiveInput(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveChurn is one port churn on a live device — open, bind a
+// cold socket filter, close — beside ports open ports, in the checked
+// interpreter's linear scan and in table mode: §3's "a new filter can
+// be bound at any time, at a cost comparable to that of receiving a
+// packet" (compare BenchmarkLiveInput).  In table mode the churn
+// patches the decision table in and out.
+func BenchmarkLiveChurn(b *testing.B) {
+	for _, c := range []struct {
+		mode string
+		eval pfdev.EvalMode
+	}{{"checked", pfdev.EvalChecked}, {"table", pfdev.EvalTable}} {
+		for _, ports := range []int{64, 1024} {
+			b.Run(c.mode+"/ports="+strconv.Itoa(ports), func(b *testing.B) {
+				d := live.NewDevice(live.Options{Link: ethersim.Ether3Mb, Mode: c.eval})
+				defer d.Close()
+				for i := 0; i < ports; i++ {
+					if err := d.Open().SetFilter(filter.DstSocketFilter(10, uint32(0x100+i))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				cold := make([]filter.Filter, 64)
+				for i := range cold {
+					cold[i] = filter.DstSocketFilter(10, uint32(0x8000+i))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p := d.Open()
+					if err := p.SetFilter(cold[i%len(cold)]); err != nil {
+						b.Fatal(err)
+					}
+					p.Close()
+				}
+			})
+		}
+	}
+}
+
 // countingClock counts the readings taken of the clock it wraps.
 type countingClock struct {
 	clock.Clock

@@ -228,40 +228,46 @@ type slotState struct {
 	priority uint8
 }
 
+// deadSlot is the one record every dead slot points to.
+var deadSlot = &slotState{kind: slotDead}
+
 // slotPage is the slot vector's unit of copying: a patch copies the
 // one page holding the slot it changes.
 const slotPage = 64
 
-// slotVec is a persistent vector of slot records, slotPage records to
-// a page.  A published page is never written: with copies the page
-// directory and the one page it changes and shares every other page,
-// so a patch copies O(slots/slotPage) pointers and one page rather
-// than every record.
+// slotVec is a persistent vector of slot records, slotPage record
+// pointers to a page.  Neither a published page nor a record is ever
+// written: with copies the page directory and the one page it changes
+// (512 bytes of pointers) and shares every other page and record, so a
+// patch copies O(slots/slotPage) pointers, one page and at most one
+// new record rather than every record.
 type slotVec struct {
-	pages []*[slotPage]slotState
+	pages []*[slotPage]*slotState
 	n     int
 }
 
 func newSlotVec(sts []slotState) slotVec {
 	v := slotVec{n: len(sts)}
 	for i := 0; i < len(sts); i += slotPage {
-		p := new([slotPage]slotState)
-		copy(p[:], sts[i:])
+		p := new([slotPage]*slotState)
+		for j := range min(slotPage, len(sts)-i) {
+			p[j] = &sts[i+j]
+		}
 		v.pages = append(v.pages, p)
 	}
 	return v
 }
 
 // at returns slot i's record, which the caller must not modify.
-func (v slotVec) at(i int) *slotState { return &v.pages[i/slotPage][i%slotPage] }
+func (v slotVec) at(i int) *slotState { return v.pages[i/slotPage][i%slotPage] }
 
-// with returns a vector with slot i set to st; i may be v.n, which
-// appends.  v is untouched.
-func (v slotVec) with(i int, st slotState) slotVec {
+// with returns a vector with slot i set to st, which the caller must
+// not modify afterwards; i may be v.n, which appends.  v is untouched.
+func (v slotVec) with(i int, st *slotState) slotVec {
 	pi := i / slotPage
-	pages := make([]*[slotPage]slotState, max(len(v.pages), pi+1))
+	pages := make([]*[slotPage]*slotState, max(len(v.pages), pi+1))
 	copy(pages, v.pages)
-	p := new([slotPage]slotState)
+	p := new([slotPage]*slotState)
 	if pi < len(v.pages) {
 		*p = *v.pages[pi]
 	}
@@ -635,7 +641,7 @@ func (t *Table) Insert(f Filter) (*Table, int) {
 		slot, nt.free = nt.free.slot, nt.free.next
 	}
 	st := nt.compileSlot(f)
-	nt.slots = nt.slots.with(slot, st)
+	nt.slots = nt.slots.with(slot, &st)
 	switch st.kind {
 	case slotTree:
 		nt.root = insertEntry(nt.root, tentry{idx: slot, minWords: st.minWords, conds: st.conds}, &nt.work)
@@ -715,7 +721,7 @@ func (t *Table) Remove(slot int) *Table {
 			}
 		}
 	}
-	nt.slots = nt.slots.with(slot, slotState{kind: slotDead})
+	nt.slots = nt.slots.with(slot, deadSlot)
 	nt.free = &freeSlot{slot: slot, next: nt.free}
 	return nt
 }

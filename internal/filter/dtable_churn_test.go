@@ -272,6 +272,21 @@ func TestTableChurnAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestTableChurnAllocBytesPinned pins the bytes of an Insert+Remove
+// pair over 4,096 socket filters: slot pages hold record pointers and
+// every dead slot shares one record, so a patch copies the page
+// directory, one 512-byte page and at most one record.  Copying a page
+// of records instead (3 KB a patch) reads about 10 KB.
+func TestTableChurnAllocBytesPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	const limit = 6 << 10
+	if b := churnBytesPerPair(4096); b > limit {
+		t.Fatalf("Insert+Remove allocates %.0f B at 4096 filters, want <= %d", b, limit)
+	}
+}
+
 // churnBytesPerPair is the least, over three runs, of the bytes one
 // Insert+Remove pair allocates over n socket filters.
 func churnBytesPerPair(n int) float64 {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ethersim"
@@ -137,6 +138,45 @@ func TestInputAllocationFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTableChurnAllocBytes pins what one port churn — open, bind a cold
+// socket filter, close — allocates beside 1,024 table-mode ports: the
+// two decision-table patches and the port itself.  A flat compile per
+// ungoverned bind and slot pages of records read about 10 KB.
+func TestTableChurnAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	link := ethersim.Ether10Mb
+	d := NewDevice(Options{Link: link, Mode: pfdev.EvalTable})
+	defer d.Close()
+	openSocketPorts(t, d, 1024)
+	cold := make([]filter.Filter, 64)
+	for i := range cold {
+		cold[i] = pup.SocketFilter(link, 10, uint32(0x8000+i))
+	}
+	const churns, limit = 256, 5 << 10
+	least := 0.0
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < churns; i++ {
+			p := d.Open()
+			if err := p.SetFilter(cold[i%len(cold)]); err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+		}
+		runtime.ReadMemStats(&after)
+		if b := float64(after.TotalAlloc-before.TotalAlloc) / churns; run == 0 || b < least {
+			least = b
+		}
+	}
+	t.Logf("bytes per open+setfilter+close: %.0f", least)
+	if least > limit {
+		t.Fatalf("a churn allocates %.0f B beside 1024 table ports, want <= %d", least, limit)
 	}
 }
 

@@ -285,6 +285,10 @@ func (d *Device) crash() {
 	for _, port := range ports {
 		port.Discard(tr, now, trace.DropCrash)
 		port.closed = true
+		// Its slot died with the table: a later SetFilter on the dead
+		// port must not patch that slot out of the table rebuilt for
+		// the re-opened ports.
+		port.slot = -1
 		// Ring attachments die with the kernel's port state; the
 		// segment itself is user memory and survives, free for the
 		// re-opened port to map again.

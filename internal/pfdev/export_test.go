@@ -1,6 +1,9 @@
 package pfdev
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // govAdmit is the governor's admission check under the name the
 // backoff tests use.
@@ -23,4 +26,15 @@ func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) 
 
 func (d *Device) testMatch() Match {
 	return Match{Now: d.host.Clock().Now(), Burst: d.curBurst, Tracer: d.host.Sim().Tracer(), Host: d.host.Name()}
+}
+
+// rankErr reports the first port in the scan order whose rank is not
+// its index there.
+func (x *TableIndex[P]) rankErr() error {
+	for i, b := range x.binds {
+		if b.rank != i {
+			return fmt.Errorf("port %d at scan index %d has rank %d", b.id, i, b.rank)
+		}
+	}
+	return nil
 }

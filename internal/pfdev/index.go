@@ -52,14 +52,16 @@ type Binding struct {
 	treeHit     uint64
 	tableActive bool
 	priority    uint8
-	// fp is prog compiled to flat register code in every validated
-	// mode.  EvalFast and EvalCompiled run it for every packet and
-	// differ only in how Eval prices the run.  EvalTable runs it for a
-	// quarantine-exit transition packet (the port is admitted again
-	// before the re-inserted filter is visible in the match's table
-	// snapshot), at exactly the cost the table's own fallback path
-	// would charge; there it is nil when the program fails table-mode
-	// validation, and the filter matches nothing — same as in the table.
+	// fp is prog compiled to flat register code.  EvalFast and
+	// EvalCompiled run it for every packet and differ only in how Eval
+	// prices the run.  EvalTable compiles it only under the governor,
+	// and runs it for a quarantine-exit transition packet (the port is
+	// admitted again before the re-inserted filter is visible in the
+	// match's table snapshot), at exactly the cost the table's own
+	// fallback path would charge; there it is nil when the program fails
+	// table-mode validation, and the filter matches nothing — same as in
+	// the table.  An ungoverned table port is always in the table while
+	// bound, so nothing would read it.
 	fp *filter.FlatProg
 
 	PortGov
@@ -67,7 +69,8 @@ type Binding struct {
 
 // compile does the bind-time work of the device's evaluation mode:
 // EvalFast and EvalCompiled validate and compile the program to flat
-// code, EvalTable compiles the flat code for transition packets.
+// code, governed EvalTable compiles the flat code for transition
+// packets.
 func (b *Binding) compile(f filter.Filter) error {
 	switch b.cfg.mode {
 	case EvalFast, EvalCompiled:
@@ -79,7 +82,9 @@ func (b *Binding) compile(f filter.Filter) error {
 	case EvalTable:
 		// The merged table validates on insert; a program that fails
 		// table-mode validation matches nothing rather than erroring.
-		b.fp, _ = filter.CompileFlat(f.Program, filter.ValidateOptions{}, filter.Env{})
+		if b.cfg.gov {
+			b.fp, _ = filter.CompileFlat(f.Program, filter.ValidateOptions{}, filter.Env{})
+		}
 	default:
 		// The checked interpreter accepts anything and fails per
 		// packet, exactly like the original driver.
@@ -179,12 +184,12 @@ func (b *Binding) FilterStats() PortStats {
 // The scan index is what lets a governor-off table match visit only the
 // ports the table names instead of walking every port.  slotPort maps
 // the published table's slots to their ports (valid whenever table is
-// non-nil; patched with it).  Binding.rank is the port's position in
-// the scan order, renumbered lazily — one pass at the next match after
-// a sort, reorder or close sets rankDirty, never per packet.  matchSeq
-// stamps the ports the current match's tree walk accepted
-// (Binding.treeHit).  scanVisits counts ports the table scan reached
-// (tests only).
+// non-nil; patched with it).  Binding.rank is the port's index in the
+// scan order, always exact: AddPort sets it, swap moves it with the
+// port and DropPort renumbers the tail it shifts, so finding a port
+// costs nothing and a match never renumbers.  matchSeq stamps the
+// ports the current match's tree walk accepted (Binding.treeHit).
+// scanVisits counts ports the table scan reached (tests only).
 type TableIndex[P any] struct {
 	cfg bindCfg
 	gov *GovConfig
@@ -196,7 +201,6 @@ type TableIndex[P any] struct {
 	table      *filter.Table
 	slotPort   []P
 	slotBind   []*Binding
-	rankDirty  bool
 	matchSeq   uint64
 	scanVisits uint64
 	// tableBurst is the coalesced burst that last paid the table walk's
@@ -240,20 +244,32 @@ func (x *TableIndex[P]) AddPort(p P, b *Binding, now time.Duration) {
 		b.govTokens = float64(x.gov.Burst)
 		b.govRefill = now
 	}
+	b.rank = len(x.binds)
 	x.ports = append(x.ports, p)
 	x.binds = append(x.binds, b)
-	x.sortPort(len(x.binds) - 1)
+	x.sortPort(b.rank)
 }
 
 // DropPort removes a closed port from the scan order and patches its
 // filter out of the published table.
 func (x *TableIndex[P]) DropPort(b *Binding) {
-	if i := slices.Index(x.binds, b); i >= 0 {
+	if i := x.index(b); i >= 0 {
 		x.ports = slices.Delete(x.ports, i, i+1)
 		x.binds = slices.Delete(x.binds, i, i+1)
-		x.rankDirty = true
+		for ; i < len(x.binds); i++ {
+			x.binds[i].rank = i
+		}
 	}
 	x.tableRemovePort(b)
+}
+
+// index returns b's index in the scan order, or -1 for a port no longer
+// in it (a pfdev crash drops every port without renumbering them).
+func (x *TableIndex[P]) index(b *Binding) int {
+	if b.rank < len(x.binds) && x.binds[b.rank] == b {
+		return b.rank
+	}
+	return -1
 }
 
 // Ports returns the scan order (shared; do not modify).
@@ -276,7 +292,7 @@ func (x *TableIndex[P]) Bind(p P, b *Binding, f filter.Filter, open bool) error 
 	if x.cfg.gov {
 		b.govBound = govBoundFor(x.cfg.mode, b.prog, filter.ValidateOptions{Extensions: x.cfg.ext})
 	}
-	if i := slices.Index(x.binds, b); i >= 0 {
+	if i := x.index(b); i >= 0 {
 		x.sortPort(i)
 	}
 	if open && (!x.cfg.gov || b.tableActive) {
@@ -498,12 +514,6 @@ func (x *TableIndex[P]) tableMatch(frame []byte, dst []P, m *Match) []P {
 // scanSet maps a match's candidate slots to their ports and bindings
 // in scan order.
 func (x *TableIndex[P]) scanSet(slots []int) ([]P, []*Binding) {
-	if x.rankDirty {
-		for i, b := range x.binds {
-			b.rank = i
-		}
-		x.rankDirty = false
-	}
 	order := append(x.slotScratch[:0], slots...)
 	slices.SortFunc(order, func(a, b int) int { return x.slotBind[a].rank - x.slotBind[b].rank })
 	set, binds := x.scanScratch[:0], x.bindScratch[:0]
@@ -598,7 +608,6 @@ func (x *TableIndex[P]) ScanVisits() uint64 { return x.scanVisits }
 // at the cost of the distance moved.  The decision table is order-free
 // — the device drives the scan itself — so sorting does not touch it.
 func (x *TableIndex[P]) sortPort(i int) {
-	x.rankDirty = true
 	for ; i > 0 && x.binds[i-1].priority < x.binds[i].priority; i-- {
 		x.swap(i-1, i)
 	}
@@ -618,7 +627,6 @@ func (x *TableIndex[P]) Reorder() {
 			x.binds[j-1].priority == x.binds[j].priority &&
 			x.binds[j-1].matches < x.binds[j].matches; j-- {
 			x.swap(j-1, j)
-			x.rankDirty = true
 		}
 	}
 }
@@ -626,4 +634,5 @@ func (x *TableIndex[P]) Reorder() {
 func (x *TableIndex[P]) swap(i, j int) {
 	x.ports[i], x.ports[j] = x.ports[j], x.ports[i]
 	x.binds[i], x.binds[j] = x.binds[j], x.binds[i]
+	x.binds[i].rank, x.binds[j].rank = i, j
 }

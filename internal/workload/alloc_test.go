@@ -8,7 +8,8 @@ import (
 
 // TestFrameAllocations: the pieces of a frame are assembled in the
 // generator's scratch buffer (a Pup through pup's AppendBinary), so
-// the frame Encode returns is the only allocation for every class.
+// the frame Encode returns is the only allocation for every class and
+// for FlowGen's Pups.
 func TestFrameAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins only run without -race")
@@ -32,6 +33,10 @@ func TestFrameAllocations(t *testing.T) {
 			if g.LastClass != c.class {
 				t.Errorf("%v: generated %q frames, want %q", link, g.LastClass, c.class)
 			}
+		}
+		fg := NewFlowGen(1, link, pinSockets())
+		if got := testing.AllocsPerRun(200, func() { fg.Frame(2, 1) }); got != 1 {
+			t.Errorf("%v FlowGen frame allocates %.1f, want 1", link, got)
 		}
 	}
 }

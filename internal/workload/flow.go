@@ -48,6 +48,10 @@ type FlowGen struct {
 	Flows        int
 	SentPF       int
 	LastFlowSize int
+
+	// scratch is where a frame's Pup is marshalled; Encode copies it
+	// into the frame it returns, so that frame is the only allocation.
+	scratch []byte
 }
 
 // NewFlowGen creates a deterministic heavy-tailed flow generator.
@@ -59,6 +63,7 @@ func NewFlowGen(seed int64, link ethersim.LinkType, sockets []uint32) *FlowGen {
 		Alpha:   1.2,
 		MinFlow: 1,
 		MaxFlow: 4096,
+		scratch: make([]byte, link.MaxFrame()),
 	}
 }
 
@@ -104,9 +109,9 @@ func (fg *FlowGen) Frame(dst, src ethersim.Addr) []byte {
 		ID:   fg.rng.Uint32(),
 		Dst:  pup.PortAddr{Net: 1, Host: uint8(dst), Socket: fg.socket},
 		Src:  pup.PortAddr{Net: 1, Host: uint8(src), Socket: 0x9000},
-		Data: make([]byte, 16+fg.rng.Intn(100)),
+		Data: pupData[:16+fg.rng.Intn(100)],
 	}
-	payload, _ := pkt.Marshal()
+	payload, _ := pkt.AppendBinary(fg.scratch[:0]) // generated data never exceeds MaxData
 	etherType := ethersim.EtherTypePup3Mb
 	if fg.link == ethersim.Ether10Mb {
 		etherType = ethersim.EtherTypePup

@@ -18,13 +18,13 @@ func pinSockets() []uint32 {
 	return s
 }
 
-// streamHash is SHA-256 over the generator's first n frames, each
+// streamHash is SHA-256 over a generator's first n frames, each
 // preceded by its length.
-func streamHash(g *Generator, n int) string {
+func streamHash(frame func(dst, src ethersim.Addr) []byte, n int) string {
 	h := sha256.New()
 	var l [4]byte
 	for i := 0; i < n; i++ {
-		f := g.Frame(2, 1)
+		f := frame(2, 1)
 		binary.BigEndian.PutUint32(l[:], uint32(len(f)))
 		h.Write(l[:])
 		h.Write(f)
@@ -55,10 +55,31 @@ func TestGeneratorStreamPinned(t *testing.T) {
 		for _, link := range []ethersim.LinkType{ethersim.Ether3Mb, ethersim.Ether10Mb} {
 			for seed := int64(1); seed <= 2; seed++ {
 				key := fmt.Sprintf("%s/%v/%d", m.name, link, seed)
-				got := streamHash(NewGenerator(seed, link, m.mix, pinSockets()), 10000)
+				got := streamHash(NewGenerator(seed, link, m.mix, pinSockets()).Frame, 10000)
 				if got != want[key] {
 					t.Errorf("%s: stream hash %s, want %s", key, got, want[key])
 				}
+			}
+		}
+	}
+}
+
+// TestFlowGenStreamPinned pins FlowGen's byte stream, which pfload
+// sends.  The hashes were computed at commit faec3ed, before FlowGen
+// assembled its Pups in a reused scratch buffer.
+func TestFlowGenStreamPinned(t *testing.T) {
+	want := map[string]string{
+		"3Mb/1":  "9057533c8eac7cbc6157256442345472950fb2bb3fefb97d7454fa4e4a6ad6ac",
+		"3Mb/2":  "18ff4e1ab352ec2b3ba14b2d22c3f60da420b38fac6fd910b380174fdae40b52",
+		"10Mb/1": "9439969a43efd380ec535bc6eee4d1624efa97320c8aeae361e5730fa0c65c58",
+		"10Mb/2": "4ad94b5cb69ae6b047be6404b13ff7cffef0b1e82f94487ba4234c55845c119e",
+	}
+	for _, link := range []ethersim.LinkType{ethersim.Ether3Mb, ethersim.Ether10Mb} {
+		for seed := int64(1); seed <= 2; seed++ {
+			key := fmt.Sprintf("%v/%d", link, seed)
+			got := streamHash(NewFlowGen(seed, link, pinSockets()).Frame, 10000)
+			if got != want[key] {
+				t.Errorf("%s: stream hash %s, want %s", key, got, want[key])
 			}
 		}
 	}
