@@ -21,19 +21,20 @@ package filter
 // v2 makes the table maintainable under churn: filters occupy stable
 // slots, and Insert/Remove return a NEW table that shares every
 // untouched subtree with the old one (copy-on-write along the affected
-// path only; the branch maps and the slot vector are paged, so the
-// bytes copied do not grow with the filter population either).  A
-// published table is immutable with respect to its
-// filter set, which is what lets the devices swap table pointers
-// atomically while in-flight matches finish on the old one.  The
-// cumulative construction work (nodes built or copied, programs
-// extracted or compiled) is tracked in deterministic units so the
-// churn benchmark can compare incremental maintenance against full
-// rebuilds without touching a wall clock.
+// path only: a node copy carries its branch map, which copies at most
+// one 256-entry page array and one page, and the slot vector, a 16-way
+// radix tree, copies one node per level).  A published table is
+// immutable with respect to its filter set, which is what lets the
+// devices swap table pointers atomically while in-flight matches finish
+// on the old one.  The cumulative construction work (nodes built or
+// copied, programs extracted or compiled) is tracked in deterministic
+// units so the churn benchmark can compare incremental maintenance
+// against full rebuilds without touching a wall clock.
 
 import (
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Cond is one equality condition: packet word Word must equal Value.
@@ -72,7 +73,10 @@ func Extract(p Program) (ex Extracted, ok bool) {
 		return Extracted{}, true // empty filter: accepts everything
 	}
 
-	// Abstract values for symbolic execution.
+	// Abstract values for symbolic execution.  A conjunction is the
+	// range [lo, hi) of conj.  Only EQ appends there and only AND
+	// consumes a conjunction, so AND's two operands, adjacent on the
+	// stack, are adjacent ranges and their union is one range.
 	type kind int
 	const (
 		aConst kind = iota // a known 16-bit constant
@@ -80,15 +84,19 @@ func Extract(p Program) (ex Extracted, ok bool) {
 		aConj              // boolean: 1 iff a set of conditions holds
 	)
 	type aval struct {
-		k     kind
-		c     uint16 // for aConst
-		w     int    // for aWord
-		conds []Cond // for aConj
+		k      kind
+		c      uint16 // for aConst
+		w      int    // for aWord
+		lo, hi int    // for aConj
 	}
 
-	var stack []aval
-	var global []Cond // conditions asserted by CAND terminators
-	minWords := 0     // every accessed word must exist in the packet
+	// Validate bounds the stack, and every condition takes two pushed
+	// operands, so none of these buffers grows.
+	var stackBuf [StackDepth]aval
+	var conjBuf, globalBuf [MaxProgramLen / 2]Cond
+	stack, conj := stackBuf[:0], conjBuf[:0]
+	global := globalBuf[:0] // conditions asserted by CAND terminators
+	minWords := 0           // every accessed word must exist in the packet
 
 	pop2 := func() (t2, t1 aval) {
 		t1 = stack[len(stack)-1]
@@ -147,7 +155,8 @@ func Extract(p Program) (ex Extracted, ok bool) {
 			if !isEq {
 				return Extracted{}, false
 			}
-			stack = append(stack, aval{k: aConj, conds: []Cond{c}})
+			conj = append(conj, c)
+			stack = append(stack, aval{k: aConj, lo: len(conj) - 1, hi: len(conj)})
 		case CAND:
 			c, isEq := eqCond(t2, t1)
 			if !isEq {
@@ -155,43 +164,42 @@ func Extract(p Program) (ex Extracted, ok bool) {
 			}
 			global = append(global, c)
 			// CAND pushes TRUE when it continues.
-			stack = append(stack, aval{k: aConj})
+			stack = append(stack, aval{k: aConj, lo: len(conj), hi: len(conj)})
 		case AND:
 			if t2.k != aConj || t1.k != aConj {
 				return Extracted{}, false
 			}
-			stack = append(stack, aval{k: aConj, conds: append(append([]Cond{}, t2.conds...), t1.conds...)})
+			stack = append(stack, aval{k: aConj, lo: t2.lo, hi: t1.hi})
 		default:
 			return Extracted{}, false
 		}
 	}
 
 	top := stack[len(stack)-1]
-	var conds []Cond
+	conds := global
 	switch top.k {
 	case aConj:
-		conds = append(global, top.conds...)
+		conds = append(conds, conj[top.lo:top.hi]...)
 	case aConst:
 		if top.c == 0 {
 			return Extracted{}, false // reject-all: leave to linear path
 		}
-		conds = global
 	default: // aWord: acceptance depends on a raw field value
 		return Extracted{}, false
 	}
 	return Extracted{Conds: dedupe(conds), MinWords: minWords}, true
 }
 
+// dedupe returns conds without repeats, first occurrences in order, in
+// one new slice (nil when empty).  It overwrites conds.
 func dedupe(conds []Cond) []Cond {
-	seen := make(map[Cond]bool, len(conds))
 	out := conds[:0]
 	for _, c := range conds {
-		if !seen[c] {
-			seen[c] = true
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
-	return out
+	return append([]Cond(nil), out...)
 }
 
 // contradictory reports whether the conjunction contains two different
@@ -231,49 +239,84 @@ type slotState struct {
 // deadSlot is the one record every dead slot points to.
 var deadSlot = &slotState{kind: slotDead}
 
-// slotPage is the slot vector's unit of copying: a patch copies the
-// one page holding the slot it changes.
-const slotPage = 64
+// The slot vector's nodes hold slotFan pointers: slot i's index in the
+// node at each level is one slotBits-wide digit of i.
+const slotBits, slotFan = 4, 1 << 4
 
-// slotVec is a persistent vector of slot records, slotPage record
-// pointers to a page.  Neither a published page nor a record is ever
-// written: with copies the page directory and the one page it changes
-// (512 bytes of pointers) and shares every other page and record, so a
-// patch copies O(slots/slotPage) pointers, one page and at most one
-// new record rather than every record.
+// slotNode is one node of the slot vector's radix tree.  Its entries
+// are *slotState records at the bottom level and *slotNode children
+// above it; both are stored as unsafe.Pointer, always read back as the
+// type the level wrote, so one 128-byte node type serves every level.
+type slotNode [slotFan]unsafe.Pointer
+
+// slotVec is a persistent vector of slot records: a 16-way radix tree
+// of record pointers, height levels deep, whose root each table holds
+// by value.  Neither a published node below the root nor a record is
+// ever written: set copies the one node per level on slot i's path and
+// shares every other node and record, so a patch copies O(log16 slots)
+// pointers and at most one new record.
 type slotVec struct {
-	pages []*[slotPage]*slotState
-	n     int
+	root   slotNode
+	height int // 0 while empty; slots below 16^height fit
+	n      int
 }
 
+// newSlotVec builds the vector over sts bottom-up in one allocation,
+// each level's nodes following those of the level below.
 func newSlotVec(sts []slotState) slotVec {
-	v := slotVec{n: len(sts)}
-	for i := 0; i < len(sts); i += slotPage {
-		p := new([slotPage]*slotState)
-		for j := range min(slotPage, len(sts)-i) {
-			p[j] = &sts[i+j]
+	v, total := slotVec{n: len(sts)}, 0
+	for w := len(sts); w > 1 || w == 1 && v.height == 0; v.height++ {
+		w = (w + slotFan - 1) / slotFan
+		total += w
+	}
+	nodes := make([]slotNode, total)
+	for j := range sts {
+		nodes[j/slotFan][j%slotFan] = unsafe.Pointer(&sts[j])
+	}
+	for lo, w := 0, (len(sts)+slotFan-1)/slotFan; w > 1; lo, w = lo+w, (w+slotFan-1)/slotFan {
+		for j := range w {
+			nodes[lo+w+j/slotFan][j%slotFan] = unsafe.Pointer(&nodes[lo+j])
 		}
-		v.pages = append(v.pages, p)
+	}
+	if total > 0 {
+		v.root = nodes[total-1]
 	}
 	return v
 }
 
 // at returns slot i's record, which the caller must not modify.
-func (v slotVec) at(i int) *slotState { return v.pages[i/slotPage][i%slotPage] }
-
-// with returns a vector with slot i set to st, which the caller must
-// not modify afterwards; i may be v.n, which appends.  v is untouched.
-func (v slotVec) with(i int, st *slotState) slotVec {
-	pi := i / slotPage
-	pages := make([]*[slotPage]*slotState, max(len(v.pages), pi+1))
-	copy(pages, v.pages)
-	p := new([slotPage]*slotState)
-	if pi < len(v.pages) {
-		*p = *v.pages[pi]
+func (v *slotVec) at(i int) *slotState {
+	nd := &v.root
+	for s := slotBits * (v.height - 1); s > 0; s -= slotBits {
+		nd = (*slotNode)(nd[(i>>s)&(slotFan-1)])
 	}
-	p[i%slotPage] = st
-	pages[pi] = p
-	return slotVec{pages: pages, n: max(v.n, i+1)}
+	return (*slotState)(nd[i&(slotFan-1)])
+}
+
+// set points slot i at st, which the caller must not modify afterwards;
+// i may be v.n, which appends.  v must be a patched table's own copy.
+// Each copied node is its own allocation: the nodes of one path
+// outlive one another, and a shared allocation would keep a replaced
+// node, and every older node it points to, alive.
+func (v *slotVec) set(i int, st *slotState) {
+	if v.height == 0 || i>>(slotBits*v.height) != 0 {
+		// Full or empty: grow a level, the old root the new first child.
+		if v.height > 0 {
+			old := v.root
+			v.root = slotNode{unsafe.Pointer(&old)}
+		}
+		v.height++
+	}
+	nd := &v.root
+	for s := slotBits * (v.height - 1); s > 0; s -= slotBits {
+		k, next := (i>>s)&(slotFan-1), new(slotNode)
+		if old := nd[k]; old != nil {
+			*next = *(*slotNode)(old)
+		}
+		nd[k], nd = unsafe.Pointer(next), next
+	}
+	nd[i&(slotFan-1)] = unsafe.Pointer(st)
+	v.n = max(v.n, i+1)
 }
 
 // freeSlot is one entry of the free-slot stack: dead slots available
@@ -291,7 +334,7 @@ type freeSlot struct {
 // applied linearly.  Filters that fail even validation match nothing.
 //
 // A Table's filter set is immutable: Insert and Remove return a new
-// Table sharing all untouched subtrees, slot pages, the free-slot
+// Table sharing all untouched subtrees, slot nodes, the free-slot
 // stack and (unless the fallback set changed) the fallback list.  The
 // per-match scratch buffers are not shared between tables and make a
 // single Table value safe only for serialized matching (the devices
@@ -303,7 +346,6 @@ type Table struct {
 	linear  []tlinear // fallback slots, ascending slot order
 	scratch []int
 	lin     []LinearEval
-	edges   int
 	work    int // cumulative deterministic construction work
 }
 
@@ -319,15 +361,24 @@ type tnode struct {
 	accepts  []taccept  // filters fully satisfied at this node
 }
 
+// bnode is a patched node that tests a word, allocated with its map.
+type bnode struct {
+	tnode
+	m branchMap
+}
+
 // branchMap is a node's dispatch on the tested word's value, in two
 // 256-way levels: the value's high byte selects a page, its low byte
-// the child within it.  It is persistent — with and without return a
-// new map sharing every page they do not change — so a copy-on-write
-// path copies at most one level-1 array and one page (512 entries)
-// per node, however large the fanout.
+// the child within it.  Its pages are persistent — a patch builds new
+// ones and never writes a page or array another table can reach — so
+// a copy-on-write path copies at most one level-1 array and one page
+// (512 entries) per node, however large the fanout.  A single page is
+// kept in pg, so a fanout-1 node allocates nothing beyond itself;
+// nothing outside the map points there (clone re-points a copy's).
 type branchMap struct {
 	hi sparse[*sparse[*tnode]]
 	n  int // logical fanout: values that have a child
+	pg sparse[*tnode]
 }
 
 // get returns v's child, or nil; m may be nil.
@@ -349,74 +400,77 @@ func (m *branchMap) fanout() int {
 	return m.n
 }
 
-// with returns a map with v's child set to c; m may be nil and is
-// untouched.
-func (m *branchMap) with(v uint16, c *tnode) *branchMap {
-	var nm branchMap
-	if m != nil {
-		nm = *m
+// set points v at c, or drops v when c is nil, in a map nothing shares
+// yet (a fresh copy), making new pages and arrays for what changes.
+func (m *branchMap) set(v uint16, c *tnode) {
+	hb, lb := uint8(v>>8), uint8(v)
+	var pg sparse[*tnode]
+	if p := m.hi.get(hb); p != nil {
+		pg = *p
 	}
-	var lo sparse[*tnode]
-	if p := nm.hi.get(uint8(v >> 8)); p != nil {
-		lo = *p
+	if pg.has(lb) {
+		m.n--
 	}
-	if !lo.has(uint8(v)) {
-		nm.n++
-	}
-	lo = lo.with(uint8(v), c)
-	nm.hi = nm.hi.with(uint8(v>>8), &lo)
-	return &nm
-}
-
-// without returns a map without v's child, or nil once none is left;
-// m is untouched.
-func (m *branchMap) without(v uint16) *branchMap {
-	p := m.hi.get(uint8(v >> 8))
-	if p == nil || !p.has(uint8(v)) {
-		return m
-	}
-	if m.n == 1 {
-		return nil
-	}
-	nm := *m
-	nm.n--
-	if lo := p.without(uint8(v)); len(lo.vals) > 0 {
-		nm.hi = nm.hi.with(uint8(v>>8), &lo)
+	if c == nil {
+		pg = pg.del(lb)
 	} else {
-		nm.hi = nm.hi.without(uint8(v >> 8))
+		pg, m.n = pg.set(lb, c), m.n+1
 	}
-	return &nm
+	if m.hi.one == &m.pg && !m.hi.has(hb) {
+		// A second page joins: the first leaves the map, since a
+		// level-1 array other copies share must not point into it.
+		p := m.pg
+		m.hi.one = &p
+	}
+	switch p := &m.pg; {
+	case pg.bits == [4]uint64{}:
+		m.hi = m.hi.del(hb)
+	case m.hi.vals != nil || m.hi.one != nil && !m.hi.has(hb):
+		p = new(sparse[*tnode])
+		fallthrough
+	default:
+		*p = pg
+		m.hi = m.hi.set(hb, p)
+	}
+	if p := m.hi.one; p != nil && p != &m.pg {
+		m.pg, m.hi.one = *p, &m.pg // one page left: back inside
+	}
 }
 
 // push adds a child for v, which must exceed every value already
 // present — buildNode's ascending fill of a map nothing shares yet.
 func (m *branchMap) push(v uint16, c *tnode) {
-	if !m.hi.has(uint8(v >> 8)) {
-		m.hi.push(uint8(v>>8), new(sparse[*tnode]))
+	if hb := uint8(v >> 8); !m.hi.has(hb) {
+		p := &m.pg
+		if m.hi.bits != [4]uint64{} {
+			if m.hi.one == &m.pg {
+				first := m.pg
+				m.hi.one = &first
+			}
+			p = new(sparse[*tnode])
+		}
+		m.hi.push(hb, p)
 	}
-	m.hi.vals[len(m.hi.vals)-1].push(uint8(v), c)
+	m.hi.get(uint8(v>>8)).push(uint8(v), c)
 	m.n++
 }
 
 // each calls f on every child, in ascending value order.
 func (m *branchMap) each(f func(*tnode)) {
-	if m == nil {
-		return
-	}
-	for _, lo := range m.hi.vals {
-		for _, c := range lo.vals {
-			f(c)
-		}
+	if m != nil {
+		m.hi.each(func(lo *sparse[*tnode]) { lo.each(f) })
 	}
 }
 
 // sparse is one 256-way level of a branchMap: a bitmap of the byte keys
 // present and their values in ascending key order, so a lookup is a
-// bit test and a popcount.  with and without build a fresh value array
-// and never write the one they were given, which other tables share.
+// bit test and a popcount.  A single value is held inline (one), so a
+// fanout-1 level needs no array.  set and del return a new level and
+// never write the array they were given, which other tables share.
 type sparse[T any] struct {
 	bits [4]uint64
-	vals []T
+	vals []T // values in key order, while two or more keys are present
+	one  T   // the value, while one key is present
 }
 
 func (s *sparse[T]) has(k uint8) bool { return s.bits[k>>6]&(1<<(k&63)) != 0 }
@@ -432,35 +486,75 @@ func (s *sparse[T]) rank(k uint8) int {
 }
 
 func (s *sparse[T]) get(k uint8) (v T) {
-	if s.has(k) {
+	switch {
+	case !s.has(k):
+	case s.vals == nil:
+		v = s.one
+	default:
 		v = s.vals[s.rank(k)]
 	}
 	return v
 }
 
-func (s sparse[T]) with(k uint8, v T) sparse[T] {
-	i := s.rank(k)
-	if s.has(k) {
-		s.vals = slices.Clone(s.vals)
-		s.vals[i] = v
-		return s
+// set returns s with k's value v.
+func (s sparse[T]) set(k uint8, v T) sparse[T] {
+	had, old := s.has(k), s.vals
+	if old == nil && s.bits != [4]uint64{} && !had {
+		old = []T{s.one}
 	}
 	s.bits[k>>6] |= 1 << (k & 63)
-	s.vals = slices.Insert(slices.Clip(s.vals), i, v)
+	if old == nil {
+		s.one = v
+		return s
+	}
+	i, skip := s.rank(k), 0
+	if had {
+		skip = 1
+	}
+	s.vals = append(append(append(make([]T, 0, len(old)+1-skip), old[:i]...), v), old[i+skip:]...)
+	var zero T
+	s.one = zero
 	return s
 }
 
-func (s sparse[T]) without(k uint8) sparse[T] {
+// del returns s without k, which must be present.
+func (s sparse[T]) del(k uint8) sparse[T] {
 	i := s.rank(k)
 	s.bits[k>>6] &^= 1 << (k & 63)
-	s.vals = slices.Concat(s.vals[:i], s.vals[i+1:])
+	var zero T
+	switch len(s.vals) {
+	case 0:
+		s.one = zero
+	case 2:
+		s.one, s.vals = s.vals[1-i], nil
+	default:
+		s.vals = slices.Concat(s.vals[:i], s.vals[i+1:])
+	}
 	return s
 }
 
 // push appends k, which must exceed every key present, in place.
 func (s *sparse[T]) push(k uint8, v T) {
+	switch {
+	case s.bits == [4]uint64{}:
+		s.one = v
+	case s.vals == nil:
+		var zero T
+		s.vals, s.one = []T{s.one, v}, zero
+	default:
+		s.vals = append(s.vals, v)
+	}
 	s.bits[k>>6] |= 1 << (k & 63)
-	s.vals = append(s.vals, v)
+}
+
+// each calls f on every value, in key order.
+func (s *sparse[T]) each(f func(T)) {
+	if s.vals == nil && s.bits != [4]uint64{} {
+		f(s.one)
+	}
+	for _, v := range s.vals {
+		f(v)
+	}
 }
 
 // taccept records an accepting filter and the packet length its
@@ -615,15 +709,6 @@ func buildNode(entries []tentry, wk *int) *tnode {
 	return n
 }
 
-// clone copies one node so it can be patched without touching the
-// shared original.  Subtrees, the branch map and the accepts array are
-// shared: the patch replaces each with a fresh copy when it changes it.
-func (n *tnode) clone(wk *int) *tnode {
-	c := *n
-	*wk += workClone(n.branches.fanout())
-	return &c
-}
-
 // shallowClone starts a patched table: everything is shared until
 // insert/remove replaces what it changes.
 func (t *Table) shallowClone() *Table {
@@ -641,10 +726,10 @@ func (t *Table) Insert(f Filter) (*Table, int) {
 		slot, nt.free = nt.free.slot, nt.free.next
 	}
 	st := nt.compileSlot(f)
-	nt.slots = nt.slots.with(slot, &st)
+	nt.slots.set(slot, &st)
 	switch st.kind {
 	case slotTree:
-		nt.root = insertEntry(nt.root, tentry{idx: slot, minWords: st.minWords, conds: st.conds}, &nt.work)
+		nt.root = insertEntry(nt.root, tentry{idx: slot, minWords: st.minWords, conds: st.conds}, 0, &nt.work)
 	case slotFallback:
 		// Keep the fallback list in ascending slot order so the
 		// evaluation order is deterministic and independent of
@@ -661,43 +746,75 @@ func (t *Table) Insert(f Filter) (*Table, int) {
 	return nt, slot
 }
 
-// insertEntry adds one extracted entry to the tree, copying only the
-// nodes along its path.
-func insertEntry(n *tnode, e tentry, wk *int) *tnode {
-	if n == nil {
-		return buildNode([]tentry{e}, wk)
+// clone copies n so it can be patched without touching the shared
+// original, charging the copy's work.  A node that tests a word, or
+// is about to (mapped), is copied as a bnode that owns a copy of its
+// branch map; subtrees, pages and the accepts array stay shared until
+// the patch replaces what it changes.
+func clone(n *tnode, mapped bool, wk *int) *tnode {
+	*wk += workClone(n.branches.fanout())
+	if n.branches == nil && !mapped {
+		c := *n
+		return &c
 	}
-	c := n.clone(wk)
-	if len(e.conds) == 0 {
-		c.accepts = append(slices.Clip(c.accepts), taccept{idx: e.idx, minWords: e.minWords})
+	b := &bnode{tnode: *n}
+	if m := n.branches; m != nil {
+		b.m = *m
+		if m.hi.one == &m.pg {
+			b.m.hi.one = &b.m.pg
+		}
+	}
+	b.branches = &b.m
+	return &b.tnode
+}
+
+// pick returns the index of the condition on word that used does not
+// mark, or for word -1 the unmarked condition on the lowest word; -1
+// if there is none.  An entry tests each word at most once (Extract
+// dedupes, and contradictory entries stay out of the tree), and has at
+// most MaxProgramLen/2 conditions, one bit of used each.
+func pick(conds []Cond, used uint64, word int) int {
+	best := -1
+	for i, c := range conds {
+		if used&(1<<i) == 0 && (c.Word == word || word < 0 && (best < 0 || c.Word < conds[best].Word)) {
+			best = i
+		}
+	}
+	return best
+}
+
+// insertEntry adds one extracted entry to the tree, copying only the
+// nodes along its path; used marks the conditions tested above n.
+func insertEntry(n *tnode, e tentry, used uint64, wk *int) *tnode {
+	next := pick(e.conds, used, -1)
+	if n == nil {
+		// Past the tree's end, build what buildNode would for the
+		// entry alone: a node per remaining word, lowest first, down
+		// to a leaf accepting it.
+		if next < 0 {
+			*wk += workNode(0)
+			return &tnode{word: -1, accepts: []taccept{{idx: e.idx, minWords: e.minWords}}}
+		}
+		*wk += workNode(1)
+		b := &bnode{tnode: tnode{word: e.conds[next].Word}}
+		b.branches = &b.m
+		b.m.set(e.conds[next].Value, insertEntry(nil, e, used|1<<next, wk))
+		return &b.tnode
+	}
+	if next < 0 {
+		c := clone(n, false, wk)
+		c.accepts = append(slices.Clip(n.accepts), taccept{idx: e.idx, minWords: e.minWords})
 		return c
 	}
-	if c.word < 0 {
-		// Leaf-only node: it must now test a word.  Mirror buildNode's
-		// choice for a single entry: the lowest remaining word.
-		best := e.conds[0].Word
-		for _, cd := range e.conds {
-			if cd.Word < best {
-				best = cd.Word
-			}
-		}
-		c.word = best
+	next = pick(e.conds, used, n.word) // a leaf-only node takes the lowest
+	c := clone(n, next >= 0, wk)
+	if next < 0 {
+		c.wildcard = insertEntry(n.wildcard, e, used, wk)
+		return c
 	}
-	val, tests := uint16(0), false
-	var remaining []Cond
-	for _, cd := range e.conds {
-		if cd.Word == c.word {
-			val, tests = cd.Value, true
-		} else {
-			remaining = append(remaining, cd)
-		}
-	}
-	if tests {
-		b := insertEntry(c.branches.get(val), tentry{idx: e.idx, minWords: e.minWords, conds: remaining}, wk)
-		c.branches = c.branches.with(val, b)
-	} else {
-		c.wildcard = insertEntry(c.wildcard, e, wk)
-	}
+	v := e.conds[next].Value
+	c.word = e.conds[next].Word
+	c.branches.set(v, insertEntry(n.branches.get(v), e, used|1<<next, wk))
 	return c
 }
 
@@ -712,7 +829,7 @@ func (t *Table) Remove(slot int) *Table {
 	st := nt.slots.at(slot)
 	switch st.kind {
 	case slotTree:
-		nt.root = removeEntry(nt.root, slot, st.conds, &nt.work)
+		nt.root = removeEntry(nt.root, slot, st.conds, 0, &nt.work)
 	case slotFallback:
 		for i, l := range nt.linear {
 			if l.idx == slot {
@@ -721,46 +838,39 @@ func (t *Table) Remove(slot int) *Table {
 			}
 		}
 	}
-	nt.slots = nt.slots.with(slot, deadSlot)
+	nt.slots.set(slot, deadSlot)
 	nt.free = &freeSlot{slot: slot, next: nt.free}
 	return nt
 }
 
 // removeEntry deletes one entry along its deterministic path, copying
-// the touched nodes and pruning any that become empty.
-func removeEntry(n *tnode, slot int, conds []Cond, wk *int) *tnode {
+// the touched nodes and pruning any that become empty; used marks the
+// conditions tested above n.
+func removeEntry(n *tnode, slot int, conds []Cond, used uint64, wk *int) *tnode {
 	if n == nil {
 		return nil
 	}
-	c := n.clone(wk)
-	if len(conds) == 0 {
-		for i, a := range c.accepts {
-			if a.idx == slot {
-				c.accepts = append(c.accepts[:i:i], c.accepts[i+1:]...)
-				break
-			}
+	if pick(conds, used, -1) < 0 {
+		acc := n.accepts
+		if i := slices.IndexFunc(acc, func(a taccept) bool { return a.idx == slot }); i >= 0 {
+			acc = append(acc[:i:i], acc[i+1:]...)
 		}
-		return pruneNode(c)
+		if len(acc) == 0 && n.branches == nil && n.wildcard == nil {
+			*wk += workClone(0) // the copy would be pruned at once
+			return nil
+		}
+		c := clone(n, false, wk)
+		c.accepts = acc
+		return c
 	}
-	val, tests := uint16(0), false
-	var remaining []Cond
-	for _, cd := range conds {
-		if cd.Word == c.word {
-			val, tests = cd.Value, true
-		} else {
-			remaining = append(remaining, cd)
+	// A leaf-only node (word -1) has neither branches nor a wildcard.
+	c, i := clone(n, false, wk), pick(conds, used, n.word)
+	if i < 0 {
+		c.wildcard = removeEntry(n.wildcard, slot, conds, used, wk)
+	} else if b := n.branches.get(conds[i].Value); b != nil {
+		if c.branches.set(conds[i].Value, removeEntry(b, slot, conds, used|1<<i, wk)); c.branches.n == 0 {
+			c.branches = nil
 		}
-	}
-	if tests {
-		if b := c.branches.get(val); b != nil {
-			if nb := removeEntry(b, slot, remaining, wk); nb == nil {
-				c.branches = c.branches.without(val)
-			} else {
-				c.branches = c.branches.with(val, nb)
-			}
-		}
-	} else {
-		c.wildcard = removeEntry(c.wildcard, slot, conds, wk)
 	}
 	return pruneNode(c)
 }
@@ -820,20 +930,20 @@ type MatchResult struct {
 // Candidates reports every slot whose filter may accept pkt: first the
 // tree-resident slots that do accept it (unsorted; tree counts them),
 // then every fallback slot in ascending slot order, plus the walk's
-// path depth.  The returned slice is reused by the next Candidates or
-// MatchStats call.  Fallback programs are not run — the caller drives
-// those itself via Fallback, which is how the devices evaluate
-// fallbacks lazily in scan order.  No other slot can accept, so a
-// device scan need visit only these slots' ports.
-func (t *Table) Candidates(pkt []byte) (slots []int, tree, edges int) {
-	t.scratch = t.scratch[:0]
-	t.edges = 0
-	t.walk(t.root, pkt)
-	tree = len(t.scratch)
+// path depth.  The slots are written over dst's storage (dst[:0],
+// grown as needed), so a caller that passes the previous result back
+// matches without allocating; Candidates writes nothing in the table.
+// Fallback programs are not run — the caller drives those itself via
+// Fallback, which is how the devices evaluate fallbacks lazily in scan
+// order.  No other slot can accept, so a device scan need visit only
+// these slots' ports.
+func (t *Table) Candidates(pkt []byte, dst []int) (slots []int, tree, edges int) {
+	slots, edges = walk(t.root, pkt, dst[:0], 0)
+	tree = len(slots)
 	for _, l := range t.linear {
-		t.scratch = append(t.scratch, l.idx)
+		slots = append(slots, l.idx)
 	}
-	return t.scratch, tree, t.edges
+	return slots, tree, edges
 }
 
 // Match returns the indices of all filters accepting pkt, sorted by
@@ -846,18 +956,16 @@ func (t *Table) Match(pkt []byte) []int {
 // MatchStats is Match plus cost accounting.  The returned slices are
 // reused by the next call.
 func (t *Table) MatchStats(pkt []byte) MatchResult {
-	t.scratch = t.scratch[:0]
+	out, edges := walk(t.root, pkt, t.scratch[:0], 0)
 	t.lin = t.lin[:0]
-	t.edges = 0
-	t.walk(t.root, pkt)
 	for _, l := range t.linear {
 		r := l.fp.Run(pkt)
 		if r.Accept {
-			t.scratch = append(t.scratch, l.idx)
+			out = append(out, l.idx)
 		}
 		t.lin = append(t.lin, LinearEval{Idx: l.idx, Instrs: r.Instrs, Accept: r.Accept})
 	}
-	out := t.scratch
+	t.scratch = out
 	// Insertion sort in place (decreasing priority, ties by ascending
 	// index): sort.Slice's interface conversion allocates, and this
 	// path runs once per received packet.
@@ -870,7 +978,7 @@ func (t *Table) MatchStats(pkt []byte) MatchResult {
 			out[j-1], out[j] = out[j], out[j-1]
 		}
 	}
-	return MatchResult{Idxs: out, Edges: t.edges, Linear: t.lin}
+	return MatchResult{Idxs: out, Edges: edges, Linear: t.lin}
 }
 
 // MatchBest returns the highest-priority accepting filter index, or -1.
@@ -882,24 +990,33 @@ func (t *Table) MatchBest(pkt []byte) int {
 	return m[0]
 }
 
-func (t *Table) walk(n *tnode, pkt []byte) {
+// walk appends to out the slots of the entries n's subtree accepts pkt
+// at, and adds to edges one per node whose packet word it examined.
+func walk(n *tnode, pkt []byte, out []int, edges int) ([]int, int) {
 	for n != nil {
 		for _, a := range n.accepts {
 			if len(pkt) >= 2*a.minWords {
-				t.scratch = append(t.scratch, a.idx)
+				out = append(out, a.idx)
 			}
 		}
 		if n.word < 0 {
-			return
+			break
 		}
-		t.edges++
+		edges++
+		var b *tnode
 		if n.branches != nil {
 			if v, ok := PacketWord(pkt, n.word); ok {
-				if b := n.branches.get(v); b != nil {
-					t.walk(b, pkt)
-				}
+				b = n.branches.get(v)
 			}
+		}
+		if b != nil && n.wildcard == nil {
+			n = b // nothing to visit after b: iterate, not recurse
+			continue
+		}
+		if b != nil {
+			out, edges = walk(b, pkt, out, edges)
 		}
 		n = n.wildcard
 	}
+	return out, edges
 }

@@ -64,7 +64,7 @@ func churnScript(r *rand.Rand, tbl *Table, steps int, after func(step int, tbl *
 func observe(tbl *Table, pkts [][]byte) []string {
 	var out []string
 	for _, p := range pkts {
-		slots, tree, edges := tbl.Candidates(p)
+		slots, tree, edges := tbl.Candidates(p, nil)
 		out = append(out, fmt.Sprint("candidates ", slots, tree, edges))
 		m := tbl.MatchStats(p)
 		out = append(out, fmt.Sprintf("match %v %d %+v", m.Idxs, m.Edges, m.Linear))
@@ -215,8 +215,8 @@ func checkAgainstFresh(t *testing.T, op int, tbl *Table, ref []Filter, pkt []byt
 		t.Fatalf("op %d: %d slots, want %d", op, tbl.Slots(), len(ref))
 	}
 	fresh := BuildTable(ref)
-	gotC, gotTree, _ := tbl.Candidates(pkt)
-	wantC, wantTree, _ := fresh.Candidates(pkt)
+	gotC, gotTree, _ := tbl.Candidates(pkt, nil)
+	wantC, wantTree, _ := fresh.Candidates(pkt, nil)
 	sorted := func(s []int) []int { s = slices.Clone(s); slices.Sort(s); return s }
 	if gotTree != wantTree || !slices.Equal(gotC[gotTree:], wantC[wantTree:]) ||
 		!slices.Equal(sorted(gotC[:gotTree]), sorted(wantC[:wantTree])) {
@@ -245,7 +245,7 @@ func checkAgainstFresh(t *testing.T, op int, tbl *Table, ref []Filter, pkt []byt
 // and closing one port, which must not grow with the population.
 func BenchmarkTableChurn(b *testing.B) {
 	cold := coldFilters()
-	for _, n := range []int{64, 1024, 4096} {
+	for _, n := range []int{64, 1024, 4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("filters=%d", n), func(b *testing.B) {
 			tbl := BuildTable(socketFilters(n))
 			b.ReportAllocs()
@@ -320,5 +320,153 @@ func TestTableWorkPinned(t *testing.T) {
 	const want = 55784
 	if got := tbl.Work(); got != want {
 		t.Fatalf("Work() = %d after the pinned script, want %d", got, want)
+	}
+}
+
+// TestTableChurnAllocCount pins the allocations of an Insert+Remove
+// pair of a cold socket filter.  A copied node carries its branch map,
+// a map's single page and a page's single child are held inline, and
+// the slot vector copies one radix node per level below the table's
+// own root, so the count follows the path and the radix height (five
+// levels once a 65,536-filter table appends).  Allocating per map
+// level, page array and condition list, plus a slot page and its
+// directory per patch, reads over 50.
+func TestTableChurnAllocCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	cold := coldFilters()
+	for _, c := range []struct{ n, limit int }{{1024, 20}, {65536, 30}} {
+		n := c.n
+		tbl := BuildTable(socketFilters(n))
+		i := 0
+		a := testing.AllocsPerRun(200, func() {
+			nt, slot := tbl.Insert(cold[i%len(cold)])
+			tbl = nt.Remove(slot)
+			i++
+		})
+		if a > float64(c.limit) {
+			t.Errorf("Insert+Remove makes %.1f allocations at %d filters, want <= %d", a, n, c.limit)
+		}
+	}
+}
+
+// TestTableChurnAllocBytesLarge pins the bytes of an Insert+Remove pair
+// over 65,536 socket filters, where a slot vector that copies a page
+// directory per patch reads about 30 KB.
+func TestTableChurnAllocBytesLarge(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	const limit = 16 << 10
+	if b := churnBytesPerPair(65536); b > limit {
+		t.Fatalf("Insert+Remove allocates %.0f B at 65536 filters, want <= %d", b, limit)
+	}
+}
+
+// TestTableChurnRetainedAlloc bounds the heap a long-churned table
+// keeps alive.  No allocation may hold both a node or array a later
+// patch replaces and one that outlives it: carving a patch's whole
+// path from shared slabs keeps every replaced copy, and through it
+// every older table version, reachable — about 2.9 KB per slot after
+// this script, against 0.2 KB.
+func TestTableChurnRetainedAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	tbl := churnScript(rand.New(rand.NewSource(5)), BuildTable(socketFilters(2048)), 10000, nil)
+	kept := float64(heap()-before) / float64(tbl.Slots())
+	runtime.KeepAlive(tbl)
+	if kept > 1024 {
+		t.Fatalf("a churned table keeps %.0f B per slot alive, want <= 1024", kept)
+	}
+}
+
+// TestExtractAllocOnce pins Extract at one allocation, its result: the
+// symbolic stack and the condition lists live in fixed scratch.
+func TestExtractAllocOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	prog := DstSocketFilter(10, 35).Program
+	if a := testing.AllocsPerRun(100, func() { Extract(prog) }); a > 1 {
+		t.Fatalf("Extract of a socket filter makes %.1f allocations, want <= 1", a)
+	}
+}
+
+// TestSlotVecRadix runs seeded set/at sequences against a plain-slice
+// model at sizes on both sides of every radix level boundary, appending
+// from empty and patching vectors newSlotVec built, each patch on a
+// copy as a table makes one, and checks after each script that every
+// older vector still reads its old values.
+func TestSlotVecRadix(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	recs := make([]slotState, 64)
+	for i := range recs {
+		recs[i].priority = uint8(i)
+	}
+	type version struct {
+		v     slotVec
+		model []*slotState
+	}
+	with := func(v slotVec, i int, st *slotState) slotVec {
+		v.set(i, st)
+		return v
+	}
+	check := func(what string, ver version) {
+		t.Helper()
+		if ver.v.n != len(ver.model) {
+			t.Fatalf("%s: n = %d, want %d", what, ver.v.n, len(ver.model))
+		}
+		for i, want := range ver.model {
+			if got := ver.v.at(i); got != want {
+				t.Fatalf("%s: slot %d reads %p, want %p", what, i, got, want)
+			}
+		}
+	}
+	for _, size := range []int{1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097} {
+		sts := make([]slotState, size)
+		built := version{v: newSlotVec(sts)}
+		for i := range sts {
+			built.model = append(built.model, &sts[i])
+		}
+		check(fmt.Sprintf("newSlotVec(%d)", size), built)
+
+		// Append from empty up to size, keeping every 64th version.
+		cur := version{}
+		var kept []version
+		for i := 0; i < size; i++ {
+			st := &recs[r.Intn(len(recs))]
+			cur = version{with(cur.v, i, st), append(slices.Clip(cur.model), st)}
+			if i%64 == 0 || i == size-1 {
+				kept = append(kept, cur)
+			}
+		}
+		// Then patch random slots, of both the appended and the built
+		// vector, and append one more.
+		for _, start := range []version{cur, built} {
+			cur = start
+			for k := 0; k < 200; k++ {
+				i, st := r.Intn(size), &recs[r.Intn(len(recs))]
+				model := slices.Clone(cur.model)
+				model[i] = st
+				cur = version{with(cur.v, i, st), model}
+				if k%20 == 0 {
+					kept = append(kept, cur)
+				}
+			}
+			cur = version{with(cur.v, size, deadSlot), append(slices.Clip(cur.model), deadSlot)}
+			kept = append(kept, cur, start)
+		}
+		for j, ver := range kept {
+			check(fmt.Sprintf("size %d, version %d", size, j), ver)
+		}
 	}
 }

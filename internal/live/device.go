@@ -182,7 +182,7 @@ type Port struct {
 	pfdev.Binding
 	pfdev.PortQueue
 
-	readers *sync.Cond // on dev.mu; broadcast on enqueue/close/timeout
+	readers sync.Cond // on dev.mu; broadcast on enqueue/close/timeout
 }
 
 // DefaultQueueLimit matches pfdev's default per-port input queue bound.
@@ -192,7 +192,8 @@ const DefaultQueueLimit = pfdev.DefaultQueueLimit
 func (d *Device) Open() *Port {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	port := &Port{dev: d, readers: sync.NewCond(&d.mu)}
+	port := &Port{dev: d}
+	port.readers.L = &d.mu
 	port.InitQueue(d.name, &d.queuedTotal)
 	d.idx.AddPort(port, &port.Binding, d.clk.Now())
 	d.byID[port.ID()] = port

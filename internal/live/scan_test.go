@@ -180,6 +180,41 @@ func TestTableChurnAllocBytes(t *testing.T) {
 	}
 }
 
+// TestTableChurnAllocCount pins the allocations of a port churn — open,
+// SetFilter of a cold socket filter, close — beside 1,024 table ports,
+// then one frame a population port accepts, so the match after each
+// patch is counted too: its candidate slots go into a buffer the
+// device's index owns, not a scratch each patched table starts
+// without.  Allocating per tree node and slot page, plus a condition
+// variable per port, reads over 55.
+func TestTableChurnAllocCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	link := ethersim.Ether10Mb
+	d := NewDevice(Options{Link: link, Mode: pfdev.EvalTable})
+	defer d.Close()
+	openSocketPorts(t, d, 1024)
+	cold := make([]filter.Filter, 64)
+	for i := range cold {
+		cold[i] = pup.SocketFilter(link, 10, uint32(0x8000+i))
+	}
+	hit := pupFrame(t, link, scanBase)
+	i := 0
+	a := testing.AllocsPerRun(256, func() {
+		p := d.Open()
+		if err := p.SetFilter(cold[i%len(cold)]); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		d.Input(hit)
+		i++
+	})
+	if a > 24 {
+		t.Fatalf("a churn and a frame make %.1f allocations beside 1024 table ports, want <= 24", a)
+	}
+}
+
 // PortStats is in id order however busy-first reordering and priority
 // sorting have shuffled the scan order.
 func TestPortStatsIDOrderAfterReorder(t *testing.T) {

@@ -409,7 +409,8 @@ func (x *TableIndex[P]) tableMatch(frame []byte, dst []P, m *Match) []P {
 		x.rebuildTable()
 	}
 	tbl := x.table
-	slots, tree, edges := tbl.Candidates(frame)
+	slots, tree, edges := tbl.Candidates(frame, x.slotScratch)
+	x.slotScratch = slots
 	x.matchSeq++
 	for _, slot := range slots[:tree] {
 		x.slotBind[slot].treeHit = x.matchSeq
@@ -511,17 +512,16 @@ func (x *TableIndex[P]) tableMatch(frame []byte, dst []P, m *Match) []P {
 	return accepted
 }
 
-// scanSet maps a match's candidate slots to their ports and bindings
-// in scan order.
+// scanSet sorts a match's candidate slots into scan order, in place,
+// and maps them to their ports and bindings.
 func (x *TableIndex[P]) scanSet(slots []int) ([]P, []*Binding) {
-	order := append(x.slotScratch[:0], slots...)
-	slices.SortFunc(order, func(a, b int) int { return x.slotBind[a].rank - x.slotBind[b].rank })
+	slices.SortFunc(slots, func(a, b int) int { return x.slotBind[a].rank - x.slotBind[b].rank })
 	set, binds := x.scanScratch[:0], x.bindScratch[:0]
-	for _, slot := range order {
+	for _, slot := range slots {
 		set = append(set, x.slotPort[slot])
 		binds = append(binds, x.slotBind[slot])
 	}
-	x.slotScratch, x.scanScratch, x.bindScratch = order[:0], set[:0], binds[:0]
+	x.scanScratch, x.bindScratch = set[:0], binds[:0]
 	return set, binds
 }
 

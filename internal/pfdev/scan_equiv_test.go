@@ -29,7 +29,7 @@ import (
 
 // generousGov never denies a port and never sheds a frame: it only
 // selects the governed arm of the scan.
-var generousGov = pfdev.GovConfig{Enabled: true, Rate: 1e15, Burst: 1 << 50, AdmissionHigh: 1 << 30}
+var generousGov = pfdev.GovConfig{Enabled: true, Rate: 1e15, Burst: 1 << 30, AdmissionHigh: 1 << 30}
 
 // replayScanScript runs the script against a fresh device, sending
 // runs of up to burst consecutive frames back to back and letting the
