@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestUnicastFrameIsOneBufferFromTransmitToHandler pins the uncoalesced
+// TestUnicastFrameAllocatesOneBufferFromTransmitToHandler pins the uncoalesced
 // wire path, Transmit through the receiving NIC's Handler, at exactly
 // one allocation per frame: Transmit's copy of the caller's frame,
 // which the wire hands to its only receiver (see Transmit).  The job
 // rides the queue by value, and the wire-busy completion and the
 // driver entry's completion are pre-bound, not a closure per frame.
-func TestUnicastFrameIsOneBufferFromTransmitToHandler(t *testing.T) {
+func TestUnicastFrameAllocatesOneBufferFromTransmitToHandler(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins only run without -race")
 	}
@@ -20,12 +20,12 @@ func TestUnicastFrameIsOneBufferFromTransmitToHandler(t *testing.T) {
 	b := net.Attach(s.NewHost("b"), 2)
 	frame := Ether10Mb.Encode(2, 1, EtherTypePup, make([]byte, 100))
 	got := 0
-	b.Handler = func(f []byte) {
+	b.Handler = perFrame(func(f []byte) {
 		if !bytes.Equal(f, frame) {
 			t.Errorf("frame %d arrived altered", got)
 		}
 		got++
-	}
+	})
 	send := func() {
 		if err := a.Transmit(frame); err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestBroadcastAllocatesOneBufferPerReceiver(t *testing.T) {
 		a := net.Attach(s.NewHost("a"), 1)
 		got := 0
 		for i := 0; i < k; i++ {
-			net.Attach(s.NewHost("b"), Addr(2+i)).Handler = func([]byte) { got++ }
+			net.Attach(s.NewHost("b"), Addr(2+i)).Handler = perFrame(func([]byte) { got++ })
 		}
 		frame := Ether10Mb.Encode(Broadcast10Mb, 1, EtherTypeARP, make([]byte, 46))
 		send := func() {
@@ -97,7 +97,7 @@ func TestDuplicatedFrameAllocations(t *testing.T) {
 	a := net.Attach(s.NewHost("a"), 1)
 	b := net.Attach(s.NewHost("b"), 2)
 	got := 0
-	b.Handler = func([]byte) { got++ }
+	b.Handler = perFrame(func([]byte) { got++ })
 	frame := Ether10Mb.Encode(2, 1, EtherTypePup, make([]byte, 100))
 	send := func() {
 		if err := a.Transmit(frame); err != nil {
@@ -125,7 +125,7 @@ func TestQueuedFramesKeepTheirOrderAndBytes(t *testing.T) {
 	a := net.Attach(s.NewHost("a"), 1)
 	b := net.Attach(s.NewHost("b"), 2)
 	var got []byte
-	b.Handler = func(f []byte) { got = append(got, f[len(f)-1]) }
+	b.Handler = perFrame(func(f []byte) { got = append(got, f[len(f)-1]) })
 	// Hold the receiver's CPU so every frame queues behind it.
 	b.Host().RunKernel("hog", 50_000_000, nil)
 	for i := 0; i < 20; i++ {

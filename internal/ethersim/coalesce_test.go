@@ -5,28 +5,40 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // TestCoalesceBurstsAtNIC exercises the interrupt-coalescing state
 // machine at the interface level: back-to-back frames are handed to the
-// BurstHandler in bursts no larger than the budget, in arrival order,
-// and an isolated frame after an idle gap arrives alone (the NAPI
-// "first interrupt" path).
+// Handler in bursts no larger than the budget, in arrival order, each
+// with its frames' spans on queue 0, and an isolated frame after an
+// idle gap arrives alone (the NAPI "first interrupt" path).
 func TestCoalesceBurstsAtNIC(t *testing.T) {
 	s, net := newNet(t, Ether3Mb)
+	tr := spanTracer(s)
 	ha, hb := s.NewHost("a"), s.NewHost("b")
 	na := net.Attach(ha, 1)
 	nb := net.Attach(hb, 2)
 
 	const budget = 3
 	nb.SetCoalesce(budget, 500*time.Microsecond)
-	var bursts [][]byte // tag bytes per burst
-	nb.BurstHandler = func(frames [][]byte) {
+	spanOf := map[byte]uint64{} // tag -> the span its Transmit created
+	var bursts [][]byte         // tag bytes per burst
+	nb.Handler = func(frames [][]byte, spans []uint64, queue int) {
+		checkEntry(t, frames, spans, spanOf, 4)
+		if queue != 0 {
+			t.Errorf("burst on queue %d of a single-queue NIC", queue)
+		}
 		tags := make([]byte, len(frames))
 		for i, f := range frames {
 			tags[i] = f[4]
 		}
 		bursts = append(bursts, tags)
+	}
+	send := func(tag byte) {
+		na.Transmit(Ether3Mb.Encode(2, 1, EtherTypePup3Mb, []byte{tag}))
+		spanOf[tag] = tr.LastSpan()
 	}
 
 	s.Spawn(ha, "send", func(p *sim.Proc) {
@@ -34,12 +46,12 @@ func TestCoalesceBurstsAtNIC(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			// Back-to-back: the wire paces the frames, the receiving
 			// driver (100µs per entry) falls behind, bursts form.
-			na.Transmit(Ether3Mb.Encode(2, 1, EtherTypePup3Mb, []byte{byte(i)}))
+			send(byte(i))
 		}
 		// After an idle gap well past the moderation delay, one
 		// isolated frame must come up alone and immediately.
 		p.Sleep(20 * time.Millisecond)
-		na.Transmit(Ether3Mb.Encode(2, 1, EtherTypePup3Mb, []byte{99}))
+		send(99)
 	})
 	s.Run(0)
 
@@ -78,6 +90,73 @@ func TestCoalesceBurstsAtNIC(t *testing.T) {
 	}
 }
 
+// TestHandlerSpansAndQueue checks the Handler's arguments on a 4-queue
+// NIC, uncoalesced (every entry a burst of one) and coalesced: spans[k]
+// is frame k's provenance span, and queue is the queue the steering
+// hash picks for every frame of the entry.
+func TestHandlerSpansAndQueue(t *testing.T) {
+	for _, budget := range []int{0, 4} {
+		s := sim.New(vtime.Costs{DriverRecv: 400 * time.Microsecond})
+		net := New(s, Ether10Mb)
+		tr := spanTracer(s)
+		na := net.Attach(s.NewHost("a"), 1)
+		nb := net.Attach(s.NewHost("b"), 2)
+		nb.SetQueues(4)
+		nb.SetCoalesce(budget, 0)
+		spanOf := map[byte]uint64{}
+		got, longest := 0, 0
+		nb.Handler = func(frames [][]byte, spans []uint64, queue int) {
+			checkEntry(t, frames, spans, spanOf, Ether10Mb.HeaderLen())
+			for _, f := range frames {
+				if q := Ether10Mb.SteerQueue(f, 4); q != queue {
+					t.Errorf("budget %d: frame steered to queue %d handed up on queue %d", budget, q, queue)
+				}
+			}
+			got += len(frames)
+			longest = max(longest, len(frames))
+		}
+		const n = 24
+		s.Spawn(na.Host(), "send", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				// Two flows, so two queues carry traffic.
+				na.Transmit(Ether10Mb.Encode(2, Addr(10+i%2), EtherTypePup, []byte{byte(i)}))
+				spanOf[byte(i)] = tr.LastSpan()
+			}
+		})
+		s.Run(0)
+		if got != n {
+			t.Fatalf("budget %d: %d frames handed up, want %d", budget, got, n)
+		}
+		if budget == 0 && longest != 1 || budget > 1 && longest < 2 {
+			t.Errorf("budget %d: longest entry %d frames", budget, longest)
+		}
+	}
+}
+
+// spanTracer installs a tracer that gives every transmitted frame a
+// span.
+func spanTracer(s *sim.Sim) *trace.Tracer {
+	tr := trace.New()
+	tr.EnableSpans(trace.SpanConfig{})
+	s.SetTracer(tr)
+	return tr
+}
+
+// checkEntry checks that a Handler's spans are indexed like its frames:
+// spans[k] is the span the sender recorded for frame k's tag, the byte
+// at tagAt.
+func checkEntry(t *testing.T, frames [][]byte, spans []uint64, spanOf map[byte]uint64, tagAt int) {
+	t.Helper()
+	if len(spans) != len(frames) {
+		t.Fatalf("%d spans for %d frames", len(spans), len(frames))
+	}
+	for k, f := range frames {
+		if want := spanOf[f[tagAt]]; spans[k] == 0 || spans[k] != want {
+			t.Errorf("frame %d (tag %d) carries span %d, want %d", k, f[tagAt], spans[k], want)
+		}
+	}
+}
+
 // TestCoalesceTimerClearedOnCrash is the regression test for the
 // moderation-timer leak: a crash must clear every receive queue's
 // coalescing state — buffered burst, poll flag AND the armed
@@ -109,7 +188,7 @@ func TestCoalesceTimerClearedOnCrash(t *testing.T) {
 	}
 
 	var got []byte
-	nb.Handler = func(frame []byte) { got = append(got, frame[14]) }
+	nb.Handler = perFrame(func(frame []byte) { got = append(got, frame[14]) })
 
 	frame := func(src Addr, tag byte) []byte {
 		return Ether10Mb.Encode(2, src, EtherTypePup, []byte{tag})
@@ -181,7 +260,7 @@ func TestCrashClearsPerQueueCoalesceState(t *testing.T) {
 	nb := net.Attach(hb, 2)
 	nb.SetQueues(4)
 	nb.SetCoalesce(4, 2*time.Millisecond)
-	nb.Handler = func([]byte) {}
+	nb.Handler = perFrame(func([]byte) {})
 
 	s.Spawn(ha, "send", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
@@ -225,41 +304,4 @@ func TestCrashClearsPerQueueCoalesceState(t *testing.T) {
 		}
 	})
 	s.Run(0)
-}
-
-// TestCoalesceFallsBackToHandler checks that with coalescing on but no
-// BurstHandler bound, the frames of a burst are fed to the per-frame
-// Handler one by one, still under one driver entry.
-func TestCoalesceFallsBackToHandler(t *testing.T) {
-	s, net := newNet(t, Ether3Mb)
-	ha, hb := s.NewHost("a"), s.NewHost("b")
-	na := net.Attach(ha, 1)
-	nb := net.Attach(hb, 2)
-	nb.SetCoalesce(4, 0)
-	var got []byte
-	nb.Handler = func(frame []byte) { got = append(got, frame[4]) }
-
-	s.Spawn(ha, "send", func(p *sim.Proc) {
-		for i := 0; i < 6; i++ {
-			na.Transmit(Ether3Mb.Encode(2, 1, EtherTypePup3Mb, []byte{byte(i)}))
-		}
-	})
-	s.Run(0)
-
-	if len(got) != 6 {
-		t.Fatalf("delivered %d frames, want 6", len(got))
-	}
-	for i := range got {
-		if got[i] != byte(i) {
-			t.Fatalf("frames out of order: %v", got)
-		}
-	}
-	if hb.Counters.Bursts == 0 || hb.Counters.Bursts >= 6 {
-		t.Errorf("Bursts = %d, want batching (0 < bursts < 6)", hb.Counters.Bursts)
-	}
-	// One kernel entry per burst, not per frame.
-	if hb.Counters.KernelEntries != hb.Counters.Bursts {
-		t.Errorf("KernelEntries = %d, Bursts = %d; want one entry per burst",
-			hb.Counters.KernelEntries, hb.Counters.Bursts)
-	}
 }

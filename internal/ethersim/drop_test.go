@@ -27,13 +27,13 @@ func dropRig(t *testing.T, n int, cfg func(*Network)) ([]int, *Network) {
 	net := New(s, Ether3Mb)
 	tx := net.Attach(s.NewHost("a"), 1)
 	var got []int
-	net.Attach(s.NewHost("b"), 2).Handler = func(frame []byte) {
+	net.Attach(s.NewHost("b"), 2).Handler = perFrame(func(frame []byte) {
 		_, _, _, payload, err := Ether3Mb.Decode(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, int(payload[0]))
-	}
+	})
 	cfg(net)
 	for i := 1; i <= n; i++ {
 		tx.Transmit(Ether3Mb.Encode(2, 1, EtherTypePup3Mb, []byte{byte(i)}))

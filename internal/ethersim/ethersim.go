@@ -276,19 +276,17 @@ type NIC struct {
 	host *sim.Host
 	addr Addr
 
-	// Handler receives each accepted frame.  It runs in event-loop
-	// context and must not block; it may consume further kernel CPU
-	// via host.RunKernel.  The handler owns the frame outright: no
-	// other interface, tap or later delivery of the same transmission
-	// shares its backing array, so it may keep or overwrite it.
-	Handler func(frame []byte)
-
-	// BurstHandler, when set, receives coalesced receive bursts (see
-	// SetCoalesce) instead of per-frame Handler calls.  With no
-	// BurstHandler the frames of a burst are handed to Handler one by
-	// one, still under a single driver entry.  Each frame of a burst
-	// is owned as Handler's is.
-	BurstHandler func(frames [][]byte)
+	// Handler receives each driver entry's frames: one frame, or a
+	// coalesced burst (see SetCoalesce) in arrival order.  spans is
+	// indexed like frames and holds each frame's provenance span (0
+	// when untracked); queue is the receive queue the frames arrived
+	// on (0 on a single-queue NIC).  Both slices are valid only during
+	// the call.  Handler runs in event-loop context and must not
+	// block; it may consume further kernel CPU via host.RunKernel.
+	// Each frame is owned outright: no other interface, tap or later
+	// delivery of the same transmission shares its backing array, so
+	// the handler may keep or overwrite it.
+	Handler func(frames [][]byte, spans []uint64, queue int)
 
 	// Promiscuous makes the interface accept every frame.
 	Promiscuous bool
@@ -317,15 +315,6 @@ type NIC struct {
 	// lane is used — the single-queue world is byte-identical to the
 	// pre-multi-queue one.
 	queues []*rxq
-
-	// Side channel through which the receive handler learns the
-	// current frame's provenance span and receive queue without
-	// widening the Handler signatures.  Handlers run one at a time
-	// in event-loop context, so one set of fields suffices even with
-	// many queues.
-	curSpan       uint64
-	curBurstSpans []uint64
-	curQueue      int
 }
 
 // rxq is one receive queue: its own pending ring, its own NAPI
@@ -362,33 +351,23 @@ type rxq struct {
 	// can terminate exactly the spans buried in the lost entries.
 	// rxFrames runs parallel to it with the frame of each uncoalesced
 	// entry (nil for a frame riding a burst), so all of those complete
-	// through the one pre-bound rxDoneFn, not a closure per frame.
+	// through the one pre-bound rxDoneFn, not a closure per frame, and
+	// reach the handler as a burst of one through the oneFrame and
+	// oneSpan scratch arrays (a slice literal would escape through the
+	// Handler call and allocate per frame).
 	burstSpans []uint64
 	rxPend     []uint64
 	rxFrames   [][]byte
 	rxHead     int
 	rxDoneFn   func()
+	oneFrame   [1][]byte
+	oneSpan    [1]uint64
 
 	// rx counts frames accepted onto this queue (after steering,
 	// before any overflow drop), so tests can prove steering really
 	// spreads flows.
 	rx uint64
 }
-
-// RxSpan returns the provenance span of the frame currently being
-// handed to Handler (0 when untracked).  Valid only inside a Handler
-// call.
-func (nic *NIC) RxSpan() uint64 { return nic.curSpan }
-
-// RxBurstSpans returns the spans of the burst currently being handed
-// to BurstHandler, indexed like its frames.  Valid only inside a
-// BurstHandler call.
-func (nic *NIC) RxBurstSpans() []uint64 { return nic.curBurstSpans }
-
-// RxQueue returns the receive queue of the frame (or burst) currently
-// being handed to Handler/BurstHandler.  Valid only inside a handler
-// call; 0 on a single-queue NIC.
-func (nic *NIC) RxQueue() int { return nic.curQueue }
 
 func (q *rxq) pushRx(span uint64, frame []byte) {
 	q.rxPend = append(q.rxPend, span)
@@ -818,20 +797,26 @@ func (nic *NIC) receive(frame []byte, span uint64, owned bool) {
 }
 
 // rxDone completes the driver entry of the queue's oldest uncoalesced
-// frame and hands the frame to the kernel.
+// frame and hands the frame to the kernel as a burst of one.
 func (q *rxq) rxDone() {
-	nic := q.nic
 	q.pending--
-	span, frame := q.popRx()
+	q.oneSpan[0], q.oneFrame[0] = q.popRx()
+	q.hand(q.oneFrame[:], q.oneSpan[:])
+	q.oneFrame[0] = nil
+}
+
+// hand gives one driver entry's frames to the kernel's Handler; with
+// none installed their spans end unclaimed.
+func (q *rxq) hand(frames [][]byte, spans []uint64) {
+	nic := q.nic
 	if nic.Handler != nil {
-		nic.curSpan = span
-		nic.curQueue = q.idx
-		nic.Handler(frame)
-		nic.curSpan = 0
-		nic.curQueue = 0
-	} else {
-		h := nic.host
-		h.Sim().Tracer().SpanDrop(span, h.Clock().Now(), h.Name(), trace.DropUnclaimed)
+		nic.Handler(frames, spans, q.idx)
+		return
+	}
+	h := nic.host
+	tr := h.Sim().Tracer()
+	for _, s := range spans {
+		tr.SpanDrop(s, h.Clock().Now(), h.Name(), trace.DropUnclaimed)
 	}
 }
 
@@ -900,29 +885,7 @@ func (q *rxq) flush() {
 		for range spans {
 			q.popRx()
 		}
-		switch {
-		case nic.BurstHandler != nil:
-			nic.curBurstSpans = spans
-			nic.curSpan = spans[0]
-			nic.curQueue = q.idx
-			nic.BurstHandler(frames)
-			nic.curBurstSpans = nil
-			nic.curSpan = 0
-			nic.curQueue = 0
-		case nic.Handler != nil:
-			nic.curQueue = q.idx
-			for i, f := range frames {
-				nic.curSpan = spans[i]
-				nic.Handler(f)
-			}
-			nic.curSpan = 0
-			nic.curQueue = 0
-		default:
-			tr := h.Sim().Tracer()
-			for _, s := range spans {
-				tr.SpanDrop(s, h.Clock().Now(), h.Name(), trace.DropUnclaimed)
-			}
-		}
+		q.hand(frames, spans)
 		q.pollDone()
 	})
 }

@@ -67,8 +67,8 @@ func TestUnicastDelivery(t *testing.T) {
 	n3 := net.Attach(h3, 3)
 
 	var got2, got3 int
-	n2.Handler = func(frame []byte) { got2++ }
-	n3.Handler = func(frame []byte) { got3++ }
+	n2.Handler = perFrame(func(frame []byte) { got2++ })
+	n3.Handler = perFrame(func(frame []byte) { got3++ })
 
 	frame := Ether10Mb.Encode(2, 1, EtherTypeIP, make([]byte, 100))
 	if err := n1.Transmit(frame); err != nil {
@@ -92,8 +92,8 @@ func TestBroadcastAndPromiscuous(t *testing.T) {
 	n3.Promiscuous = true
 
 	var got2, got3 int
-	n2.Handler = func([]byte) { got2++ }
-	n3.Handler = func([]byte) { got3++ }
+	n2.Handler = perFrame(func([]byte) { got2++ })
+	n3.Handler = perFrame(func([]byte) { got3++ })
 
 	// Broadcast reaches everyone but the sender.
 	n1.Transmit(Ether3Mb.Encode(Broadcast3Mb, 1, EtherTypePup3Mb, nil))
@@ -114,7 +114,7 @@ func TestTransmissionTimeAndSerialization(t *testing.T) {
 	n1 := net.Attach(h1, 1)
 	n2 := net.Attach(h2, 2)
 	var deliveries []time.Duration
-	n2.Handler = func([]byte) { deliveries = append(deliveries, s.Now()) }
+	n2.Handler = perFrame(func([]byte) { deliveries = append(deliveries, s.Now()) })
 
 	frame := Ether10Mb.Encode(2, 1, EtherTypeIP, make([]byte, 1250-14))
 	n1.Transmit(frame)
@@ -137,7 +137,7 @@ func Test3MbIsSlower(t *testing.T) {
 	h1, h2 := s.NewHost("a"), s.NewHost("b")
 	n1 := net.Attach(h1, 1)
 	var at time.Duration
-	net.Attach(h2, 2).Handler = func([]byte) { at = s.Now() }
+	net.Attach(h2, 2).Handler = perFrame(func([]byte) { at = s.Now() })
 	n1.Transmit(Ether3Mb.Encode(2, 1, EtherTypePup3Mb, make([]byte, 296)))
 	s.Run(0)
 	// 300 bytes at 3 Mb/s = 800 µs.
@@ -165,7 +165,7 @@ func TestInputQueueOverflow(t *testing.T) {
 	n2 := net.Attach(h2, 2)
 	n2.QueueLimit = 2
 	var got int
-	n2.Handler = func([]byte) { got++ }
+	n2.Handler = perFrame(func([]byte) { got++ })
 
 	frame := Ether10Mb.Encode(2, 1, EtherTypeIP, make([]byte, 50))
 	for i := 0; i < 10; i++ {
@@ -180,5 +180,15 @@ func TestInputQueueOverflow(t *testing.T) {
 	}
 	if h2.Counters.PacketsDropped != n2.Drops {
 		t.Fatalf("host drop counter mismatch")
+	}
+}
+
+// perFrame adapts a per-frame callback to the NIC's Handler, which
+// receives each driver entry's frames together.
+func perFrame(fn func(frame []byte)) func([][]byte, []uint64, int) {
+	return func(frames [][]byte, _ []uint64, _ int) {
+		for _, f := range frames {
+			fn(f)
+		}
 	}
 }

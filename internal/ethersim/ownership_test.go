@@ -26,8 +26,8 @@ func (in *scriptedInjector) Frame(index uint64, _ []byte) Verdict { return in.ve
 
 // FuzzWireOwnership checks the wire's frame-ownership rule (see
 // Transmit) against aliasing.  An input decodes to a link type, one to
-// five receivers (each plain, coalesced, coalesced with a
-// BurstHandler, or two-queue, and each optionally promiscuous), and up
+// five receivers (each plain, coalesced with or without a moderation
+// delay, or two-queue, and each optionally promiscuous), and up
 // to eight frames, each unicast, broadcast or for an address nobody has,
 // each with a verdict: none, drop, dup with or without a delay,
 // delay, delay and dup, or a corrupted payload bit.  The sender builds
@@ -85,15 +85,17 @@ func FuzzWireOwnership(f *testing.F) {
 				nic.SetCoalesce(3, 0)
 			case 2:
 				nic.SetCoalesce(3, 50*time.Microsecond)
-				nic.BurstHandler = func(frames [][]byte) {
-					for _, f := range frames {
-						check(r, f)
-					}
-				}
 			case 3:
 				nic.SetQueues(2)
 			}
-			nic.Handler = func(f []byte) { check(r, f) }
+			nic.Handler = func(frames [][]byte, spans []uint64, _ int) {
+				if len(spans) != len(frames) {
+					t.Fatalf("receiver %d got %d spans for %d frames", r, len(spans), len(frames))
+				}
+				for _, f := range frames {
+					check(r, f)
+				}
+			}
 			rxs[r] = nic
 		}
 

@@ -116,19 +116,21 @@ func TestMultiQueueReceive(t *testing.T) {
 	// seq tracks per-flow sequence numbers as delivered.
 	lastSeq := map[Addr]byte{}
 	total := 0
-	nb.Handler = func(frame []byte) {
-		_, src, _, payload, err := Ether10Mb.Decode(frame)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+	nb.Handler = func(frames [][]byte, _ []uint64, queue int) {
+		for _, frame := range frames {
+			_, src, _, payload, err := Ether10Mb.Decode(frame)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if q := Ether10Mb.SteerQueue(frame, 4); queue != q {
+				t.Fatalf("frame on queue %d, steering says %d", queue, q)
+			}
+			if payload[0] != lastSeq[src] {
+				t.Fatalf("flow %d out of order: got seq %d, want %d", src, payload[0], lastSeq[src])
+			}
+			lastSeq[src]++
+			total++
 		}
-		if q := nb.RxQueue(); q != Ether10Mb.SteerQueue(frame, 4) {
-			t.Fatalf("frame on queue %d, steering says %d", q, Ether10Mb.SteerQueue(frame, 4))
-		}
-		if payload[0] != lastSeq[src] {
-			t.Fatalf("flow %d out of order: got seq %d, want %d", src, payload[0], lastSeq[src])
-		}
-		lastSeq[src]++
-		total++
 	}
 
 	const flows, perFlow = 8, 5
@@ -194,7 +196,7 @@ func TestSingleQueueHasNoSteerCost(t *testing.T) {
 	na := net.Attach(ha, 1)
 	nb := net.Attach(hb, 2)
 	got := 0
-	nb.Handler = func([]byte) { got++ }
+	nb.Handler = perFrame(func([]byte) { got++ })
 	s.Spawn(ha, "send", func(p *sim.Proc) {
 		na.Transmit(Ether10Mb.Encode(2, 1, EtherTypePup, []byte{1}))
 	})

@@ -24,12 +24,12 @@ func TestSaturatedWireKeepsQueueBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.Handler = func(f []byte) {
+	b.Handler = perFrame(func(f []byte) {
 		if n := int(binary.BigEndian.Uint32(f[len(f)-4:])); n != got {
 			t.Fatalf("frame %d arrived in position %d", n, got)
 		}
 		got++
-	}
+	})
 	// One more frame queued for each that goes on the wire: the
 	// backlog never falls below three.
 	net.DropFn = func(uint64, []byte) bool {

@@ -273,10 +273,11 @@ func TestTableChurnAllocsBounded(t *testing.T) {
 }
 
 // TestTableChurnAllocBytesPinned pins the bytes of an Insert+Remove
-// pair over 4,096 socket filters: slot pages hold record pointers and
-// every dead slot shares one record, so a patch copies the page
-// directory, one 512-byte page and at most one record.  Copying a page
-// of records instead (3 KB a patch) reads about 10 KB.
+// pair over 4,096 socket filters: the slot vector is a radix tree of
+// record pointers in which every dead slot shares one record, so a
+// patch copies one 128-byte node per level below the root and at most
+// one record.  A slot layout that copied a whole page of records per
+// patch (3 KB) read about 10 KB.
 func TestTableChurnAllocBytesPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pins only run without -race")

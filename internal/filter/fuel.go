@@ -39,11 +39,6 @@ func RunFuel(p Program, pkt []byte, fuel int) Result {
 	return run(p, pkt, Env{}, false, fuel)
 }
 
-// RunExtFuel is RunFuel with the §7 extended instructions permitted.
-func RunExtFuel(p Program, pkt []byte, env Env, fuel int) Result {
-	return run(p, pkt, env, true, fuel)
-}
-
 // WorstInstrs bounds the work units (tree edges plus linear-fallback
 // instruction words) of one Match call: every decision-tree node that
 // tests a packet word, plus the static worst case of each fallback

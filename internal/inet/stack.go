@@ -51,7 +51,11 @@ func NewStack(nic *ethersim.NIC, addr Addr) *Stack {
 // StandaloneHandler installs the stack directly as the NIC handler for
 // hosts with no packet filter (the "vanilla 4.3BSD" of figure 3-2).
 func (st *Stack) StandaloneHandler() {
-	st.nic.Handler = func(frame []byte) { st.Claim(frame) }
+	st.nic.Handler = func(frames [][]byte, _ []uint64, _ int) {
+		for _, f := range frames {
+			st.Claim(f)
+		}
+	}
 }
 
 // Addr returns the stack's IP address.

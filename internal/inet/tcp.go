@@ -240,9 +240,6 @@ func (c *TCPConn) Close(p *sim.Proc) error {
 	return nil
 }
 
-// State reports whether the connection is fully established.
-func (c *TCPConn) Established() bool { return c.state == stEstablished }
-
 // pump transmits whatever the window allows; any context.
 func (c *TCPConn) pump() {
 	if c.state != stEstablished && c.state != stFinWait {

@@ -2,6 +2,7 @@ package pfdev
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/ethersim"
 	"repro/internal/sim"
@@ -46,7 +47,7 @@ func TestReceivePathAllocationFree(t *testing.T) {
 	match := pupTo(1, 2, 1, 35)
 	miss := pupTo(1, 2, 1, 99)
 	deliver := func(frame []byte) {
-		d.input(frame)
+		d.inputSpanned(frame, 0)
 		s.Run(0)
 	}
 	// Warm every free list this path touches: the sim event pool, the
@@ -136,13 +137,64 @@ func TestReceivePathAllocationFreeWithSpans(t *testing.T) {
 	}
 }
 
+// TestCoalescedReceiveAllocs bounds a coalesced receive end to end: a
+// 4-frame send, Transmit through a budget-4 NIC and the device to the
+// port queue, makes at most 16 allocations.  Four are Transmit's
+// copies of the frames; the rest belong to the NIC's coalescing state
+// machine — the burst and span appends, which regrow after each flush
+// slices past them, one closure per flush and per moderation timer,
+// and the timers themselves.
+func TestCoalescedReceiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc pins only run without -race")
+	}
+	s := sim.New(vtime.DefaultCosts())
+	net := ethersim.New(s, ethersim.Ether3Mb)
+	ha, hb := s.NewHost("a"), s.NewHost("b")
+	na := net.Attach(ha, 1)
+	d := Attach(net.Attach(hb, 2), nil, Options{CoalesceBudget: 4, CoalesceDelay: time.Millisecond})
+	var port *Port
+	s.Spawn(hb, "ctl", func(p *sim.Proc) {
+		port = d.Open(p)
+		if err := port.SetFilter(p, socketFilter(10, 35)); err != nil {
+			t.Error(err)
+		}
+		port.SetQueueLimit(p, 1<<10)
+	})
+	s.Run(0)
+	frame := pupTo(2, 1, 1, 35)
+	send := func() {
+		for i := 0; i < 4; i++ {
+			if err := na.Transmit(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run(0)
+		if port.Len() != 4 {
+			t.Fatalf("%d of 4 frames queued", port.Len())
+		}
+		port.popFront(4)
+	}
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	bursts := hb.Counters.Bursts
+	if a := testing.AllocsPerRun(100, send); a > 16 {
+		t.Errorf("coalesced 4-frame receive allocates %.1f, want <= 16", a)
+	}
+	// AllocsPerRun makes one warm-up run beyond the 100 it measures.
+	if n := hb.Counters.Bursts - bursts; n >= 4*101 {
+		t.Fatalf("%d bursts for %d frames: nothing coalesced", n, 4*101)
+	}
+}
+
 // BenchmarkReceivePath measures the real (wall-clock) cost of one
 // simulated frame delivery end to end, allocation-counted.
 func BenchmarkReceivePath(b *testing.B) {
 	s, d, port := allocWorld(b)
 	frame := pupTo(1, 2, 1, 35)
 	for i := 0; i < 64; i++ {
-		d.input(frame)
+		d.inputSpanned(frame, 0)
 		s.Run(0)
 	}
 	for port.Len() > 0 {
@@ -151,7 +203,7 @@ func BenchmarkReceivePath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.input(frame)
+		d.inputSpanned(frame, 0)
 		s.Run(0)
 		port.popFront(1)
 	}

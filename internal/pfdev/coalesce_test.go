@@ -177,6 +177,62 @@ func tracedRun(t *testing.T, opt Options) *trace.Recorder {
 	return rec
 }
 
+// wakeOrder opens two copy-all ports on the receiving host, each with a
+// reader blocked in ReadBatch, then sends a frame to a socket neither
+// accepts followed by n frames both accept, and returns the receiving
+// host's enqueue and wakeup events in trace order.
+func wakeOrder(t *testing.T, opt Options, n int) []string {
+	t.Helper()
+	r := newRig(t, opt)
+	tr := trace.New()
+	rec := &trace.Recorder{}
+	tr.SetSink(rec)
+	r.s.SetTracer(tr)
+	for i := 0; i < 2; i++ {
+		r.s.Spawn(r.hb, "recv", func(p *sim.Proc) {
+			port := r.db.Open(p)
+			port.SetFilter(p, socketFilter(10, 35))
+			port.SetCopyAll(p, true)
+			if _, err := port.ReadBatch(p); err != nil {
+				t.Errorf("read: %v", err)
+			}
+		})
+	}
+	r.s.Spawn(r.ha, "send", func(p *sim.Proc) {
+		p.Sleep(50 * time.Millisecond) // both readers are blocked by now
+		// The unmatched frame takes a coalesced NIC's first-interrupt
+		// flush, so the frames after it can travel as one burst.
+		r.da.NIC().Transmit(pupTo(2, 1, 1, 99))
+		for i := 0; i < n; i++ {
+			r.da.NIC().Transmit(pupTo(2, 1, 1, 35))
+		}
+	})
+	r.s.Run(0)
+	var got []string
+	for _, e := range rec.Events {
+		if e.Host == "b" && (e.Kind == trace.KindEnqueue || e.Kind == trace.KindWakeup) {
+			got = append(got, e.Kind.String())
+		}
+	}
+	return got
+}
+
+// TestLoneFrameWakeOrder pins the two wake rules of one driver entry's
+// delivery: a lone frame wakes each accepting port as it is queued,
+// while a burst queues every frame on every port and then wakes each
+// touched port once.
+func TestLoneFrameWakeOrder(t *testing.T) {
+	lone := wakeOrder(t, Options{}, 1)
+	if want := []string{"enqueue", "wakeup", "enqueue", "wakeup"}; !reflect.DeepEqual(lone, want) {
+		t.Errorf("lone frame: trace %v, want %v", lone, want)
+	}
+	burst := wakeOrder(t, Options{CoalesceBudget: 3, CoalesceDelay: 5 * time.Millisecond}, 3)
+	want := []string{"enqueue", "enqueue", "enqueue", "enqueue", "enqueue", "enqueue", "wakeup", "wakeup"}
+	if !reflect.DeepEqual(burst, want) {
+		t.Errorf("3-frame burst: trace %v, want %v", burst, want)
+	}
+}
+
 // TestCoalesceOffBitIdentical pins the acceptance criterion that
 // disabling coalescing (budget 0, or the degenerate budget 1) leaves
 // the receive path byte-for-byte as it was: the full trace event

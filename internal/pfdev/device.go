@@ -106,8 +106,8 @@ type Options struct {
 	// coalescing on the interface: up to this many back-to-back
 	// frames are delivered per kernel entry, with the fixed
 	// driver/filter/packet-filter setup charged once per burst and
-	// blocked readers woken once per burst.  0 or 1 leaves the
-	// per-frame path byte-for-byte as it was.
+	// blocked readers woken once per burst.  0 or 1 hands every frame
+	// up alone, byte-for-byte as without coalescing.
 	CoalesceBudget int
 	// CoalesceDelay is the interrupt-moderation timer: after a
 	// receive poll completes, the interface holds further frames up
@@ -151,10 +151,10 @@ type Device struct {
 	// frame within one burst observes a single scan order.
 	reorderPending bool
 
-	// Burst bookkeeping: curBurst is non-zero while inputBurst is
-	// matching a coalesced burst; the match loops stamp ports and the
-	// table with it, so the fixed FilterApply setup is charged once per
-	// burst instead of once per frame.
+	// Burst bookkeeping: curBurst is non-zero while input is matching
+	// a coalesced burst of two or more frames; the match loops stamp
+	// ports and the table with it, so the fixed FilterApply setup is
+	// charged once per burst instead of once per frame.
 	burstSeq uint64
 	curBurst uint64
 
@@ -189,8 +189,8 @@ type Device struct {
 type portIndex = TableIndex[*Port]
 
 // rxCtx is one receive queue's demux context: the per-queue pending
-// delivery FIFO, burst bookkeeping, pre-bound completion callbacks,
-// kernel lane and KernelTime tags.  A single-queue device has exactly
+// delivery FIFO, driver-entry bookkeeping, pre-bound completion
+// callbacks, kernel lane and KernelTime tags.  A single-queue device has exactly
 // one, with lane -1 (the main CPU) and the plain "filter"/"pf" tags —
 // byte-identical to the pre-multi-queue device.
 type rxCtx struct {
@@ -203,15 +203,24 @@ type rxCtx struct {
 	filterTag string
 	pfTag     string
 
-	pend      []delivery
-	pendHead  int
-	burstLens []int
-	burstHead int
+	pend     []delivery
+	pendHead int
+	// entries holds, per driver entry awaiting its "pf" charge, the
+	// pending deliveries it covers.
+	entries   []entry
+	entryHead int
 
-	deliverOneFn      func()
-	deliverBurstFn    func()
-	markFilterFn      func()
-	markBurstFilterFn func()
+	deliverFn    func()
+	markFilterFn func()
+}
+
+// entry is one driver entry's share of the pending FIFO: n
+// deliveries, and whether the entry was a lone frame (whose ports are
+// woken as each is queued) rather than a burst (whose ports are woken
+// once, at the end).
+type entry struct {
+	n    int
+	lone bool
 }
 
 // Attach creates a packet-filter device on nic and installs its
@@ -220,9 +229,7 @@ func Attach(nic *ethersim.NIC, kern KernelProtocol, opt Options) *Device {
 	if opt.ReorderEvery <= 0 {
 		opt.ReorderEvery = 64
 	}
-	if opt.Gov.Enabled {
-		opt.Gov = opt.Gov.withDefaults()
-	}
+	opt.Gov = opt.Gov.WithDefaults()
 	if opt.Queues < 1 {
 		opt.Queues = 1
 	}
@@ -237,18 +244,12 @@ func Attach(nic *ethersim.NIC, kern KernelProtocol, opt Options) *Device {
 			rx.filterTag = fmt.Sprintf("filter.q%d", i)
 			rx.pfTag = fmt.Sprintf("pf.q%d", i)
 		}
-		rx.deliverOneFn = rx.deliverOne
-		rx.deliverBurstFn = rx.deliverBurst
+		rx.deliverFn = rx.deliver
 		rx.markFilterFn = rx.markFilter
-		rx.markBurstFilterFn = rx.markBurstFilter
 		d.rx[i] = rx
 	}
 	nic.Handler = d.input
-	nic.BurstHandler = nil
 	nic.SetCoalesce(opt.CoalesceBudget, opt.CoalesceDelay)
-	if opt.CoalesceBudget > 1 {
-		nic.BurstHandler = d.inputBurst
-	}
 	// Port state lives in the kernel and dies with the machine:
 	// every open port is closed on a crash, so surviving process
 	// goroutines see ErrClosed and must re-open and re-bind their
@@ -278,8 +279,8 @@ func (d *Device) crash() {
 		}
 		rx.pend = rx.pend[:0]
 		rx.pendHead = 0
-		rx.burstLens = rx.burstLens[:0]
-		rx.burstHead = 0
+		rx.entries = rx.entries[:0]
+		rx.entryHead = 0
 	}
 	d.shedding = false
 	for _, port := range ports {
@@ -345,10 +346,11 @@ func (d *Device) Status(p *sim.Proc) Status {
 }
 
 // input is the NIC receive handler (event-loop context, driver cost
-// already charged).  The frame's receive queue — chosen by the NIC's
-// steering hash — selects the demux context.
-func (d *Device) input(frame []byte) {
-	d.rx[d.nic.RxQueue()].inputSpanned(frame, d.nic.RxSpan())
+// already charged): one driver entry's frames, a lone frame or a
+// coalesced burst.  Their receive queue — chosen by the NIC's steering
+// hash — selects the demux context.
+func (d *Device) input(frames [][]byte, spans []uint64, queue int) {
+	d.rx[queue].input(frames, spans)
 }
 
 // claim offers the frame (and its span) to the kernel protocol chain.
@@ -368,14 +370,6 @@ func (d *Device) claim(frame []byte, span uint64) bool {
 	claimed := d.kern.Claim(frame)
 	tr.SpanClaimSettle(d.host.Clock().Now(), d.host.Name(), claimed)
 	return claimed
-}
-
-// inputSpanned is input with the frame's provenance span made
-// explicit (tests drive it directly; the NIC handler path recovers
-// the span and queue from the interface side channel).  It feeds
-// queue 0's context — the only one on a single-queue device.
-func (d *Device) inputSpanned(frame []byte, span uint64) {
-	d.rx[0].inputSpanned(frame, span)
 }
 
 // xqCost charges the cross-queue delivery penalty: each accepting
@@ -401,66 +395,96 @@ func (rx *rxCtx) xqCost(ports []*Port) time.Duration {
 	return cost
 }
 
-func (rx *rxCtx) inputSpanned(frame []byte, span uint64) {
+// input runs one driver entry's frames through the demux, then one
+// "filter" and one "pf" kernel entry for all of them.  The fixed
+// per-entry setup (PfInput, and FilterApply per port) is charged once;
+// each further frame of a burst costs only the marginal PfPoll — §6's
+// fixed overheads spread over the burst.  A lone frame is a burst of
+// one, left unstamped: it pays its full FilterApply and a due reorder
+// runs before its own match, so an isolated packet sees the same costs
+// and latency with coalescing on or off.
+func (rx *rxCtx) input(frames [][]byte, spans []uint64) {
 	d := rx.d
-	if d.claim(frame, span) {
-		return
-	}
-	if d.opt.Gov.Enabled && !d.Admit(d.backlog(), &d.opt.Gov) {
-		// Overload: shed at demux entry, before any filter cost.
-		d.shedFrame(span)
-		return
-	}
 	arrival := d.host.Clock().Now()
 	tr := d.host.Sim().Tracer()
-	if tr != nil {
-		tr.PacketIn(arrival, d.host.Name())
-	}
-	tr.SpanMark(span, trace.StageDemux, arrival)
-	d.pktSeen++
-	d.maybeReorder()
-
-	// Evaluate the filters now (real computation), then charge the
-	// resulting virtual cost before the packet becomes visible.
-	// Predicate evaluation is accounted separately from the fixed
-	// per-packet work so experiments can reproduce §6.1's "41% of
-	// this time is spent evaluating filter predicates".
 	costs := d.host.Costs()
-	dl := rx.pushPending(frame, arrival)
-	dl.span = span
-	var filterCost time.Duration
-	dl.ports, filterCost, dl.quarSkip = d.match(frame, dl.ports, arrival, &costs)
-	cost := costs.PfInput + rx.xqCost(dl.ports)
 
-	for _, port := range dl.ports {
-		if port.stamp {
-			cost += costs.Timestamp
+	nDel := 0
+	var filterCost, pfCost time.Duration
+	if len(frames) > 1 {
+		// burstSeq is one device-wide monotonic stamp across all
+		// queues: per-port FilterApply amortization compares stamps for
+		// equality, so bursts on different queues never share a setup
+		// charge.
+		d.burstSeq++
+		d.curBurst = d.burstSeq
+	}
+	for k, frame := range frames {
+		span := spans[k]
+		if d.claim(frame, span) {
+			continue
 		}
+		if d.opt.Gov.Enabled && !d.Admit(d.backlog(), &d.opt.Gov) {
+			// Overload: shed at demux entry, before any filter cost.
+			d.shedFrame(span)
+			continue
+		}
+		if tr != nil {
+			tr.PacketIn(arrival, d.host.Name())
+		}
+		tr.SpanMark(span, trace.StageDemux, arrival)
+		d.pktSeen++
+		d.maybeReorder()
+
+		// Evaluate the filters now (real computation), then charge the
+		// resulting virtual cost before the packet becomes visible.
+		// Predicate evaluation is accounted separately from the fixed
+		// per-packet work so experiments can reproduce §6.1's "41% of
+		// this time is spent evaluating filter predicates".
+		dl := rx.pushPending(frame, arrival)
+		dl.span = span
+		var fc time.Duration
+		dl.ports, fc, dl.quarSkip = d.match(frame, dl.ports, arrival, &costs)
+		filterCost += fc
+		if nDel == 0 {
+			pfCost += costs.PfInput
+		} else {
+			pfCost += costs.PfPoll
+		}
+		pfCost += rx.xqCost(dl.ports)
+		for _, port := range dl.ports {
+			if port.stamp {
+				pfCost += costs.Timestamp
+			}
+		}
+		nDel++
 	}
-
-	d.host.RunKernelOn(rx.lane, rx.filterTag, filterCost, rx.markFilterFn)
-	d.host.RunKernelOn(rx.lane, rx.pfTag, cost, rx.deliverOneFn)
-}
-
-// markFilter runs when a frame's "filter" CPU charge retires — always
-// immediately before the same frame's "pf" completion (each lane's
-// kernel grants complete in request order), so the head of the
-// queue's pending FIFO is the frame whose evaluation just finished.
-func (rx *rxCtx) markFilter() {
-	d := rx.d
-	if rx.pendHead < len(rx.pend) {
-		d.host.Sim().Tracer().SpanMark(rx.pend[rx.pendHead].span, trace.StageFilter, d.host.Clock().Now())
+	d.curBurst = 0
+	if d.reorderPending {
+		// A reorder that came due mid-burst was held so every frame of
+		// the burst matched against one scan order; apply it now, at
+		// the burst boundary.
+		d.reorderPending = false
+		d.Reorder()
 	}
-}
-
-// markBurstFilter is markFilter for a coalesced burst: the burst's
-// frames occupy the front of the queue's pending FIFO.
-func (rx *rxCtx) markBurstFilter() {
-	d := rx.d
-	if rx.burstHead >= len(rx.burstLens) {
+	if nDel == 0 {
 		return
 	}
-	n := rx.burstLens[rx.burstHead]
+	rx.entries = append(rx.entries, entry{n: nDel, lone: len(frames) == 1})
+	d.host.RunKernelOn(rx.lane, rx.filterTag, filterCost, rx.markFilterFn)
+	d.host.RunKernelOn(rx.lane, rx.pfTag, pfCost, rx.deliverFn)
+}
+
+// markFilter runs when a driver entry's "filter" CPU charge retires —
+// always immediately before the same entry's "pf" completion (each
+// lane's kernel grants complete in request order), so the entry's
+// frames occupy the front of the queue's pending FIFO.
+func (rx *rxCtx) markFilter() {
+	d := rx.d
+	if rx.entryHead >= len(rx.entries) {
+		return
+	}
+	n := rx.entries[rx.entryHead].n
 	tr := d.host.Sim().Tracer()
 	now := d.host.Clock().Now()
 	for i := 0; i < n && rx.pendHead+i < len(rx.pend); i++ {
@@ -512,136 +536,28 @@ func (rx *rxCtx) popPending() delivery {
 	return dl
 }
 
-func (rx *rxCtx) pushBurst(n int) {
-	rx.burstLens = append(rx.burstLens, n)
-}
-
-func (rx *rxCtx) popBurst() int {
-	n := rx.burstLens[rx.burstHead]
-	rx.burstHead++
-	if rx.burstHead == len(rx.burstLens) {
-		rx.burstLens = rx.burstLens[:0]
-		rx.burstHead = 0
+func (rx *rxCtx) popEntry() entry {
+	e := rx.entries[rx.entryHead]
+	rx.entryHead++
+	if rx.entryHead == len(rx.entries) {
+		rx.entries = rx.entries[:0]
+		rx.entryHead = 0
 	}
-	return n
+	return e
 }
 
-// deliverOne completes one input(): it runs after the "pf" CPU charge
-// and enqueues (or drops) the queue's oldest pending frame.
-func (rx *rxCtx) deliverOne() {
+// deliver completes one input(): it runs after the "pf" CPU charge and
+// enqueues (or drops) the driver entry's pending frames.  A lone
+// frame's ports are woken as each is queued; a burst's are queued
+// without waking, then each touched port's readers are woken once —
+// the once-per-burst wakeup the coalescing path exists for.
+func (rx *rxCtx) deliver() {
 	d := rx.d
-	dl := rx.popPending()
-	tr := d.host.Sim().Tracer()
-	if len(dl.ports) == 0 {
-		d.dropUnmatched(tr, d.host.Clock().Now(), dl)
-		return
-	}
-	for i, port := range dl.ports {
-		s := dl.span
-		if i > 0 {
-			// Copy-all delivery to further ports forks child spans so
-			// each enqueue terminates independently.
-			s = tr.SpanFork(dl.span, d.host.Clock().Now(), d.host.Name())
-		}
-		port.enqueue(dl.frame, dl.arrival, s)
-	}
-}
-
-// inputBurst is the coalesced receive handler: the interface hands
-// over several frames under one driver entry, and the device runs one
-// "filter" and one "pf" kernel entry for the whole burst.  The fixed
-// per-entry setup (PfInput, and FilterApply per port) is charged once;
-// each further frame costs only the marginal PfPoll — §6's fixed
-// overheads spread over the burst.  Blocked readers are woken once per
-// port per burst instead of once per frame.
-func (d *Device) inputBurst(frames [][]byte) {
-	d.rx[d.nic.RxQueue()].inputBurst(frames)
-}
-
-func (rx *rxCtx) inputBurst(frames [][]byte) {
-	d := rx.d
-	if len(frames) == 1 {
-		// A singleton burst takes the ordinary per-frame path, so an
-		// isolated packet sees bit-identical costs and latency with
-		// coalescing on or off.
-		rx.inputSpanned(frames[0], d.nic.RxSpan())
-		return
-	}
-	spans := d.nic.RxBurstSpans()
-	arrival := d.host.Clock().Now()
-	tr := d.host.Sim().Tracer()
-	costs := d.host.Costs()
-
-	nDel := 0
-	var filterCost, pfCost time.Duration
-	// burstSeq is one device-wide monotonic stamp across all queues:
-	// per-port FilterApply amortization compares stamps for equality,
-	// so bursts on different queues never share a setup charge.
-	d.burstSeq++
-	d.curBurst = d.burstSeq
-	for k, frame := range frames {
-		var span uint64
-		if k < len(spans) {
-			span = spans[k]
-		}
-		if d.claim(frame, span) {
-			continue
-		}
-		if d.opt.Gov.Enabled && !d.Admit(d.backlog(), &d.opt.Gov) {
-			d.shedFrame(span)
-			continue
-		}
-		if tr != nil {
-			tr.PacketIn(arrival, d.host.Name())
-		}
-		tr.SpanMark(span, trace.StageDemux, arrival)
-		d.pktSeen++
-		d.maybeReorder()
-		dl := rx.pushPending(frame, arrival)
-		dl.span = span
-		var fc time.Duration
-		dl.ports, fc, dl.quarSkip = d.match(frame, dl.ports, arrival, &costs)
-		filterCost += fc
-		if nDel == 0 {
-			pfCost += costs.PfInput
-		} else {
-			pfCost += costs.PfPoll
-		}
-		pfCost += rx.xqCost(dl.ports)
-		for _, port := range dl.ports {
-			if port.stamp {
-				pfCost += costs.Timestamp
-			}
-		}
-		nDel++
-	}
-	d.curBurst = 0
-	if d.reorderPending {
-		// A reorder that came due mid-burst was held so every frame of
-		// the burst matched against one scan order; apply it now, at
-		// the burst boundary.
-		d.reorderPending = false
-		d.Reorder()
-	}
-	if nDel == 0 {
-		return
-	}
-	rx.pushBurst(nDel)
-	d.host.RunKernelOn(rx.lane, rx.filterTag, filterCost, rx.markBurstFilterFn)
-	d.host.RunKernelOn(rx.lane, rx.pfTag, pfCost, rx.deliverBurstFn)
-}
-
-// deliverBurst completes one inputBurst(): it pops the burst's pending
-// frames, enqueues them without waking, then wakes each touched port's
-// readers once — the once-per-burst wakeup the coalescing path exists
-// for.
-func (rx *rxCtx) deliverBurst() {
-	d := rx.d
-	n := rx.popBurst()
+	e := rx.popEntry()
 	now := d.host.Clock().Now()
 	tr := d.host.Sim().Tracer()
 	wake := d.wakeScratch[:0]
-	for k := 0; k < n; k++ {
+	for k := 0; k < e.n; k++ {
 		dl := rx.popPending()
 		if len(dl.ports) == 0 {
 			d.dropUnmatched(tr, now, dl)
@@ -650,9 +566,14 @@ func (rx *rxCtx) deliverBurst() {
 		for i, port := range dl.ports {
 			s := dl.span
 			if i > 0 {
+				// Copy-all delivery to further ports forks child spans so
+				// each enqueue terminates independently.
 				s = tr.SpanFork(dl.span, now, d.host.Name())
 			}
-			if port.enqueueQuiet(dl.frame, dl.arrival, s) && !port.wakePending {
+			switch {
+			case e.lone:
+				port.enqueue(dl.frame, dl.arrival, s)
+			case port.enqueueQuiet(dl.frame, dl.arrival, s) && !port.wakePending:
 				port.wakePending = true
 				wake = append(wake, port)
 			}

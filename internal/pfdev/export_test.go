@@ -5,6 +5,12 @@ import (
 	"time"
 )
 
+// inputSpanned hands the device one frame with its provenance span on
+// queue 0, as the interface hands an uncoalesced frame.
+func (d *Device) inputSpanned(frame []byte, span uint64) {
+	d.input([][]byte{frame}, []uint64{span}, 0)
+}
+
 // govAdmit is the governor's admission check under the name the
 // backoff tests use.
 func (g *PortGov) govAdmit(now time.Duration, cfg *GovConfig) bool { return g.Admit(now, cfg) }

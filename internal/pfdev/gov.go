@@ -101,11 +101,6 @@ func (g GovConfig) WithDefaults() GovConfig {
 	if !g.Enabled {
 		return g
 	}
-	return g.withDefaults()
-}
-
-// withDefaults fills zero fields of an enabled config.
-func (g GovConfig) withDefaults() GovConfig {
 	def := DefaultGovConfig()
 	if g.Rate <= 0 {
 		g.Rate = def.Rate

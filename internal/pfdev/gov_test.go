@@ -400,7 +400,7 @@ func TestGovernedReceivePathAllocationFree(t *testing.T) {
 	s.Run(0)
 	match := pupTo(1, 2, 1, 35)
 	deliver := func() {
-		d.input(match)
+		d.inputSpanned(match, 0)
 		s.Run(0)
 		port.popFront(1)
 	}

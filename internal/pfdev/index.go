@@ -144,9 +144,6 @@ func (b *Binding) ID() int { return b.id }
 // lower-priority filters (§3.2).
 func (b *Binding) SetCopyAll(on bool) { b.copyAll = on }
 
-// Bound reports whether a filter is bound.
-func (b *Binding) Bound() bool { return b.prog != nil }
-
 // Matches returns how many packets this port's filter has accepted.
 func (b *Binding) Matches() uint64 { return b.matches }
 

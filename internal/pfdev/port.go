@@ -325,17 +325,7 @@ func (port *Port) Poll(p *sim.Proc) bool {
 // "control returns to the user once the packet is queued for
 // transmission" (§3).
 func (port *Port) Write(p *sim.Proc, frame []byte) error {
-	if port.closed {
-		return ErrClosed
-	}
-	p.Syscall("pfsend")
-	p.CopyIn("pfsend", len(frame))
-	port.bytesCopied += uint64(len(frame))
-	if tr := p.Sim().Tracer(); tr != nil {
-		tr.PortCopied(port.dev.host.Name(), len(frame))
-	}
-	p.ConsumeKernel("driver", p.Sim().Costs().DriverSend)
-	return port.dev.nic.Transmit(frame)
+	return port.WriteBatch(p, [][]byte{frame})
 }
 
 // WriteBatch transmits several complete frames in one system call,

@@ -32,7 +32,7 @@ func (w *scanWorld) ctl(fn func(p *sim.Proc)) {
 }
 
 func (w *scanWorld) deliver(frame []byte) {
-	w.d.input(frame)
+	w.d.inputSpanned(frame, 0)
 	w.s.Run(0)
 }
 
